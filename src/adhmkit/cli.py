@@ -114,12 +114,11 @@ def _pair(z):
 
 def _cmd_validate(args, tol):
     d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
-    reports = []
-    if args.p3_method in ("chart", "both"):
-        reports.append(hirz.validate_hirz(d, tol))
+    if args.p3_method == "direct":
+        reports = [hirz.validate_p1(d, tol), hirz.validate_p2(d, tol)]
+    else:
+        reports = [hirz.validate_hirz(d, tol)]
     if args.p3_method in ("direct", "both"):
-        reports.append(hirz.validate_p1(d, tol))
-        reports.append(hirz.validate_p2(d, tol))
         try:
             reports.append(hirz.validate_p3_direct(d, tol))
         except InvalidPointError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from . import hirz as hirz_mod
 from . import plane as plane_mod
 from .errors import DomainError, InvalidPointError, ShapeError
-from .hirz import ChartCoords, HirzADHM, hirz_adhm, to_chart
+from .hirz import HirzADHM, hirz_adhm, to_chart
 from .linalg import (
     DEFAULT_TOL,
     BinaryForm,
@@ -27,9 +27,7 @@ from .linalg import (
     binary_form_roots,
     eigenvalues,
     greedy_match,
-    proj_point,
 )
-from .plane import plane_adhm
 from .sigma import angle_pair, sigma_matrix
 
 __all__ = [

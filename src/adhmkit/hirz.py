@@ -44,7 +44,6 @@ from .linalg import (
     kernel_basis,
     mats_close,
     rank_tol,
-    rel_err,
 )
 from .plane import PlaneADHM, plane_adhm
 from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport, merge
@@ -193,17 +192,19 @@ def validate_p2(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
 
     A degree-c binary form vanishing at the c+1 distinct chart angles is
     identically zero, so the pencil is nondegenerate iff some A2m is
-    invertible.  Invertibility is judged by SVD at rank_rel_tol; an empty
+    invertible.  The c+1 chart frames A2m are built as one (c+1, c, c) stack
+    and judged by one stacked determinant and one stacked singular-value
+    call: chart m is available when s_min > rank_rel_tol * s_max.  An empty
     chart set with nonzero matrices is reported indeterminate because the
     determinants sit below the noise floor without being certainly zero.
     """
-    charts = []
-    dets = []
-    for m in range(d.c + 1):
-        _, a2m = _pencil_at(d, m)
-        dets.append(complex(np.linalg.det(a2m)))
-        if rank_tol(a2m, tol) == d.c:
-            charts.append(m)
+    aps = [angle_pair(d.c, m) for m in range(d.c + 1)]
+    sin = np.array([ap.sin_val for ap in aps])[:, None, None]
+    cos = np.array([ap.cos_val for ap in aps])[:, None, None]
+    frames = sin * d.A1 + cos * d.A2
+    dets = [complex(z) for z in np.linalg.det(frames)]
+    s = np.linalg.svd(frames, compute_uv=False)
+    charts = [m for m in range(d.c + 1) if s[m, -1] > tol.rank_rel_tol * s[m, 0]]
     detail = "chart determinants: " + ", ".join(f"{z:.3e}" for z in dets)
     if charts:
         verdict = PASS
@@ -221,28 +222,31 @@ def chart_set(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
     return validate_p2(d, tol).chart_set
 
 
+def _costability_at(d: HirzADHM, m: int, tol: ToleranceConfig) -> Check:
+    """Chart-route co-stability: the plane verdict of the triple (B, E, e) at chart m."""
+    t2 = plane_mod.validate_plane(plane_part(to_chart(d, m, tol)), tol).check("costability")
+    return Check(
+        name="costability",
+        verdict=t2.verdict,
+        residual=t2.residual,
+        detail=f"chart {m}: {t2.detail}",
+    )
+
+
 def validate_p3(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Co-stability via the smallest available chart.
 
     Requires the intertwining and nondegeneracy conditions; forms the chart
-    triple (B, E, e) there and returns its co-stability verdict.
+    triple (B, E, e) there and returns its co-stability verdict, the same
+    single step validate_hirz takes after its own P1 and P2 checks.
     """
     if not validate_p1(d, tol).passed:
         raise InvalidPointError("validate_p3: intertwining relations fail")
     p2 = validate_p2(d, tol)
     if not p2.chart_set:
         raise InvalidPointError("validate_p3: empty chart set (pencil degenerate)")
-    m = p2.chart_set[0]
-    cc = to_chart(d, m, tol)
-    rep = plane_mod.validate_plane(plane_part(cc), tol)
-    t2 = rep.check("costability")
-    check = Check(
-        name="costability",
-        verdict=t2.verdict,
-        residual=t2.residual,
-        detail=f"chart {m}: {t2.detail}",
-    )
-    return ValidationReport(checks=(check,), chart_set=p2.chart_set)
+    return ValidationReport(checks=(_costability_at(d, p2.chart_set[0], tol),),
+                            chart_set=p2.chart_set)
 
 
 def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
@@ -327,18 +331,23 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
 
 
 def validate_hirz(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
-    """All three conditions; co-stability is refused when the others fail."""
+    """All three conditions, each decided once.
+
+    P1 and P2 run once; when both pass, co-stability is one chart-route step
+    at the smallest chart of P2's chart set.  Otherwise co-stability is
+    refused.
+    """
     p1 = validate_p1(d, tol)
     p2 = validate_p2(d, tol)
     if p1.passed and p2.passed:
-        p3 = validate_p3(d, tol)
+        p3 = _costability_at(d, p2.chart_set[0], tol)
     else:
-        p3 = ValidationReport(checks=(Check(
+        p3 = Check(
             name="costability",
             verdict=INDETERMINATE,
             detail="refused: intertwining or nondegeneracy already fails",
-        ),))
-    return merge(p1, p2, p3)
+        )
+    return merge(p1, p2, ValidationReport(checks=(p3,)))
 
 
 def act_gl2(d: HirzADHM, phi1, phi2, tol: ToleranceConfig = DEFAULT_TOL) -> HirzADHM:
@@ -482,8 +491,7 @@ def canonicalize(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL):
     m = full.chart_set[0]
     _, a2m = _pencil_at(d, m)
     d1 = act_gl2(d, np.eye(d.c), np.linalg.inv(a2m), tol)
-    cc = to_chart(d1, m, tol)
-    _, gauge = plane_mod.canonical_form(plane_part(cc), tol)
+    gauge = plane_mod._monomial_gauge(plane_part(to_chart(d1, m, tol)), tol)
     return act_gl2(d1, gauge, gauge, tol), m
 
 
@@ -501,16 +509,6 @@ def orbit_equal(d1: HirzADHM, d2: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) 
         and all(mats_close(x, y, tol) for x, y in zip(can1.C, can2.C))
         and mats_close(can1.e, can2.e, tol)
     )
-
-
-def _p1_residuals(n, A1, A2, C):
-    if n == 1:
-        return [A1 @ C[0] @ A2 - A2 @ C[0] @ A1]
-    out = []
-    for q in range(n - 1):
-        out.append(A1 @ C[q] - A2 @ C[q + 1])
-        out.append(C[q] @ A1 - C[q + 1] @ A2)
-    return out
 
 
 def jacobian_nullity(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -34,7 +34,6 @@ __all__ = [
     "ProjPoint",
     "proj_point",
     "proj_distance",
-    "random_invertible",
 ]
 
 _TINY = 1e-300
@@ -290,15 +289,6 @@ def binary_form_roots(f: BinaryForm, tol: ToleranceConfig = DEFAULT_TOL):
     if upoly.size > 1:
         points.extend(to_point(r) for r in np.roots(upoly))
     return _cluster_roots(points, tol.root_cluster_tol)
-
-
-def random_invertible(rng, c, cond_cap=1e4, max_tries=64) -> np.ndarray:
-    """Random complex c x c matrix with condition number below cond_cap."""
-    for _ in range(max_tries):
-        g = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
-        if np.linalg.cond(g) <= cond_cap:
-            return g
-    raise RuntimeError("random_invertible: could not draw a well-conditioned matrix")
 
 
 def random_well_conditioned(rng, c, spread=16.0) -> np.ndarray:

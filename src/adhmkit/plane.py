@@ -26,12 +26,10 @@ from .linalg import (
     ToleranceConfig,
     as_covector,
     as_matrix,
-    eigenvalues,
     freeze,
     kernel_basis,
     mats_close,
     rank_tol,
-    rel_err,
 )
 from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport
 from .sigma import angle_pair
@@ -242,17 +240,13 @@ def _monomial_covectors(d: PlaneADHM, max_degree: int):
             yield (d.e @ pow1[i]) @ pow2[j]
 
 
-def canonical_form(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL):
-    """Canonical orbit representative and the gauge that reaches it.
+def _monomial_gauge(d: PlaneADHM, tol: ToleranceConfig) -> np.ndarray:
+    """Gauge whose rows are the first c independent covectors e * b1^i * b2^j.
 
-    Scans the covectors e * b1^i * b2^j in graded order (b1-degree taking
-    lexicographic precedence) and greedily keeps the first c linearly
-    independent ones; the gauge sending them to the standard dual basis
-    maps e to (1, 0, ..., 0).  Returns (canonical PlaneADHM, gauge matrix).
+    Scans in graded order, b1-degree taking lexicographic precedence.  The
+    gauge sends the kept covectors to the standard dual basis, so it maps e
+    to (1, 0, ..., 0).  The caller has validated the triple.
     """
-    rep = validate_plane(d, tol)
-    if not rep.passed:
-        raise InvalidPointError("canonical_form: input is not a valid plane triple")
     selected = []
     ortho = []
     for w in _monomial_covectors(d, max_degree=2 * d.c):
@@ -269,7 +263,18 @@ def canonical_form(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL):
                 break
     if len(selected) < d.c:
         raise InvalidPointError("canonical_form: covectors do not span (not co-stable)")
-    gauge = np.vstack(selected)
+    return np.vstack(selected)
+
+
+def canonical_form(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL):
+    """Canonical orbit representative and the monomial gauge that reaches it.
+
+    Returns (canonical PlaneADHM, gauge matrix).
+    """
+    rep = validate_plane(d, tol)
+    if not rep.passed:
+        raise InvalidPointError("canonical_form: input is not a valid plane triple")
+    gauge = _monomial_gauge(d, tol)
     return act_gl(d, gauge, tol), freeze(gauge)
 
 

@@ -9,7 +9,7 @@ refused because commutativity already failed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PASS = "pass"
 FAIL = "fail"

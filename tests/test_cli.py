@@ -56,11 +56,12 @@ def test_validate_indeterminate_pencil(capsys, tmp_path):
 
 
 def test_validate_p3_method_both(capsys):
-    code, payload = run(capsys, "validate", g("hirz_valid_n1c1.json"),
-                        "--p3-method", "both")
-    assert code == 0
-    names = [c["name"] for c in payload["checks"]]
-    assert "costability" in names and "costability_direct" in names
+    for name in ("hirz_valid_n1c1.json", "hirz_valid_n2c2.json"):
+        code, payload = run(capsys, "validate", g(name), "--p3-method", "both")
+        assert code == 0
+        names = [c["name"] for c in payload["checks"]]
+        assert "costability" in names and "costability_direct" in names
+        assert len(names) == len(set(names)), names
 
 
 def test_validate_wrong_kind(capsys):

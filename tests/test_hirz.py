@@ -22,9 +22,10 @@ from adhmkit.hirz import (
     validate_p3,
     validate_p3_direct,
 )
-from adhmkit.linalg import DEFAULT_TOL, rel_err
+from adhmkit.linalg import DEFAULT_TOL, rank_tol, rel_err
 from adhmkit.plane import from_points, plane_adhm
 from adhmkit.propsuite import GenConfig, gen_hirz_valid
+from adhmkit.sigma import angle_pair
 
 
 def scalar_point(n, a1, a2, cs, e):
@@ -123,6 +124,23 @@ def test_p2_indeterminate_on_proportional_tiny_pencil():
     rep = validate_p2(d)
     assert rep.check("pencil_nondegenerate").verdict == "indeterminate"
     assert rep.chart_set == ()
+
+
+def test_p2_stack_matches_per_chart_loop():
+    # reference: one det and one rank_tol per chart frame, as before stacking
+    eye = np.eye(3, dtype=complex)
+    a1 = np.diag([1.0 + 0j, 1e-20])
+    points = [hirz_adhm(1, 3, eye, 0 * eye, (eye,), np.ones(3)),
+              hirz_adhm(1, 2, a1, 2.0 * a1, (np.eye(2),), np.ones(2))]
+    points += [gen_hirz_valid(GenConfig(seed=s, n=n, c=c))
+               for s, (n, c) in enumerate([(1, 2), (2, 6), (3, 16), (8, 32)])]
+    for d in points:
+        frames = [angle_pair(d.c, m).sin_val * d.A1 + angle_pair(d.c, m).cos_val * d.A2
+                  for m in range(d.c + 1)]
+        dets = ", ".join(f"{complex(np.linalg.det(f)):.3e}" for f in frames)
+        rep = validate_p2(d)
+        assert rep.chart_set == tuple(m for m, f in enumerate(frames) if rank_tol(f) == d.c)
+        assert rep.checks[0].detail.startswith(f"chart determinants: {dets}")
 
 
 def test_p3_frozen_scalar_failure_both_methods():

@@ -227,8 +227,7 @@ def _cmd_hilbert_chow(args, tol):
     normalized = coeffs / lead
     _emit({"degree": form.degree,
            "form": [_pair(z) for z in normalized],
-           "cycle": [{"point": [_pair(pt.lam1), _pair(pt.lam2)], "multiplicity": mult}
-                     for pt, mult in sup.base]},
+           "cycle": _support_json(sup)["base"]},
           args.out)
     return 0
 

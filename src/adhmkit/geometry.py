@@ -120,7 +120,7 @@ def pencil_form(A1, A2) -> BinaryForm:
         raise ShapeError("pencil_form: A1, A2 must be square of equal size")
     c = A1.shape[0]
     w = np.exp(2j * np.pi * np.arange(c + 1) / (c + 1))
-    values = np.array([np.linalg.det(A1 + wk * A2) for wk in w])
+    values = np.linalg.det(A1 + w[:, None, None] * A2)
     # values[k] = sum_p coeff[p] w^{kp}, so the forward transform inverts it
     return binary_form(np.fft.fft(values) / (c + 1))
 

@@ -440,12 +440,17 @@ def _assemble_from_chart(m, b1, b2, e, A, n, c_base) -> HirzADHM:
     return hirz_adhm(n, c, a1, a2, cs, e)
 
 
+def _stair(f, g, n: int) -> np.ndarray:
+    """Block rows q < n-1 holding f at column block q and -g at column block q+1."""
+    return np.kron(np.eye(n - 1, n), f) - np.kron(np.eye(n - 1, n, 1), g)
+
+
 def syst_rank(A1, A2, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of the left intertwining system as a block matrix on the C-stack.
 
     The (n-1)c^2 x n c^2 system has block row q equal to
-    (0 ... 0, A1, -A2, 0 ... 0) acting on vectorized C-matrices; at
-    nondegenerate pencils the rank is maximal, (n-1) c^2.
+    (0 ... 0, A1 (x) 1, -A2 (x) 1, 0 ... 0) acting on row-major vectorized
+    C-matrices; at nondegenerate pencils the rank is maximal, (n-1) c^2.
     """
     A1 = as_matrix(A1, "A1")
     A2 = as_matrix(A2, "A2")
@@ -454,14 +459,7 @@ def syst_rank(A1, A2, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     c = A1.shape[0]
     if A1.shape != (c, c) or A2.shape != (c, c):
         raise ShapeError("syst_rank: A1 and A2 must be square of equal size")
-    c2 = c * c
-    sys = np.zeros(((n - 1) * c2, n * c2), dtype=np.complex128)
-    k1 = np.kron(np.eye(c), A1)
-    k2 = np.kron(np.eye(c), A2)
-    for q in range(n - 1):
-        sys[q * c2:(q + 1) * c2, q * c2:(q + 1) * c2] = k1
-        sys[q * c2:(q + 1) * c2, (q + 1) * c2:(q + 2) * c2] = -k2
-    return rank_tol(sys, tol)
+    return rank_tol(_stair(np.kron(A1, np.eye(c)), np.kron(A2, np.eye(c)), n), tol)
 
 
 def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCoords:
@@ -511,43 +509,48 @@ def orbit_equal(d1: HirzADHM, d2: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) 
     )
 
 
+def _jacobian(d: HirzADHM):
+    """Intertwining-residual Jacobian on (A1, A2, C_1..C_n) and its roundoff scale.
+
+    Rows hold the left family, then the right one (one relation for n = 1).
+    The scale is the size of the products the n = 1 blocks are computed
+    from; for n > 1 the blocks copy entries of A and C exactly, so it is 0.
+    """
+    c2 = d.c * d.c
+    eye = np.eye(d.c)
+    a1, a2 = d.A1, d.A2
+    if d.n == 1:
+        (c1,) = d.C
+        na1, na2, nc1 = (np.linalg.norm(x) for x in (a1, a2, c1))
+        return np.hstack([
+            np.kron(eye, (c1 @ a2).T) - np.kron(a2 @ c1, eye),
+            np.kron(a1 @ c1, eye) - np.kron(eye, (c1 @ a1).T),
+            np.kron(a1, a2.T) - np.kron(a2, a1.T),
+        ]), nc1 * (na1 + na2) + na1 * na2
+    # block q: the A1-derivative of A1 C_q (left) and of C_q A1 (right)
+    left = np.vstack([np.kron(eye, cq.T) for cq in d.C])
+    right = np.vstack([np.kron(cq, eye) for cq in d.C])
+    return np.block([
+        [left[:-c2], -left[c2:], _stair(np.kron(a1, eye), np.kron(a2, eye), d.n)],
+        [right[:-c2], -right[c2:], _stair(np.kron(eye, a1.T), np.kron(eye, a2.T), d.n)],
+    ]), 0.0
+
+
 def jacobian_nullity(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Nullity of the intertwining-residual Jacobian at the point.
 
     The ambient space stacks (A1, A2, C_1..C_n, e), complex dimension
-    (n+2)c^2 + c; e never enters the residuals, so its columns vanish.  The
-    rank cut must be separated by a singular-value gap of at least 1e3,
-    otherwise the verdict is indeterminate.
+    (n+2)c^2 + c; e never enters the residuals, so its zero columns are not
+    built, and the other blocks follow from vec(a X b) = (a (x) b^T) vec(X).
+    Singular values above rank_rel_tol * max(s_max, scale) count toward the
+    rank, scale being the size of the matrix products in the blocks, so a
+    Jacobian of pure roundoff (it vanishes at n = c = 1) has rank 0.  The
+    cut needs a singular-value gap of at least 1e3, otherwise the verdict is
+    indeterminate.
     """
-    c = d.c
-    n = d.n
-    c2 = c * c
-    ambient = (n + 2) * c2 + c
-    zero = np.zeros((c, c), dtype=np.complex128)
-    cols = []
-    for slot in range(n + 2):
-        for idx in range(c2):
-            basis = np.zeros((c, c), dtype=np.complex128)
-            basis[idx // c, idx % c] = 1.0
-            da1 = basis if slot == 0 else zero
-            da2 = basis if slot == 1 else zero
-            dc = [basis if slot == q + 2 else zero for q in range(n)]
-            if n == 1:
-                dr = [
-                    da1 @ d.C[0] @ d.A2 + d.A1 @ dc[0] @ d.A2 + d.A1 @ d.C[0] @ da2
-                    - da2 @ d.C[0] @ d.A1 - d.A2 @ dc[0] @ d.A1 - d.A2 @ d.C[0] @ da1
-                ]
-            else:
-                dr = []
-                for q in range(n - 1):
-                    dr.append(da1 @ d.C[q] + d.A1 @ dc[q] - da2 @ d.C[q + 1] - d.A2 @ dc[q + 1])
-                    dr.append(dc[q] @ d.A1 + d.C[q] @ da1 - dc[q + 1] @ d.A2 - d.C[q + 1] @ da2)
-            cols.append(np.concatenate([r.ravel() for r in dr]))
-    jac = np.column_stack(cols + [np.zeros((cols[0].size, c), dtype=np.complex128)])
+    jac, scale = _jacobian(d)
     s = np.linalg.svd(jac, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return ambient
-    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    rank = int(np.count_nonzero(s > tol.rank_rel_tol * max(s[0], scale)))
     if rank < s.size:
         kept = s[rank - 1] if rank > 0 else np.inf
         discarded = s[rank]
@@ -556,4 +559,4 @@ def jacobian_nullity(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> int:
                 f"jacobian_nullity: no clear spectral gap "
                 f"(kept {kept:.3e} / discarded {discarded:.3e} < {_GAP_MIN:.0e})"
             )
-    return ambient - rank
+    return (d.n + 2) * d.c * d.c + d.c - rank

@@ -9,6 +9,7 @@ wrong, at least one property here must fail.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -220,11 +221,9 @@ def _prop_sigma_rows(ctx):
         m = int(rng.integers(-cb, cb + 1))
         ap = angle_pair(cb, m)
         sg = sigma_matrix(h, m, cb).entries
-        import math as _math
-
-        top = np.array([_math.comb(h, q) * (-ap.sin_val) ** q * ap.cos_val ** (h - q)
+        top = np.array([math.comb(h, q) * (-ap.sin_val) ** q * ap.cos_val ** (h - q)
                         for q in range(h + 1)])
-        bot = np.array([_math.comb(h, q) * ap.cos_val**q * ap.sin_val ** (h - q)
+        bot = np.array([math.comb(h, q) * ap.cos_val**q * ap.sin_val ** (h - q)
                         for q in range(h + 1)])
         if np.abs(sg[0] - top).max() > 1e-10 or np.abs(sg[h] - bot).max() > 1e-10:
             _note(failures, i, h, cb, seed, "extreme rows do not match binomial expansions")
@@ -413,8 +412,6 @@ def _prop_hirz_commutator(ctx):
 @_register("hirz_reconstruct_p1")
 def _prop_hirz_reconstruct(ctx):
     failures = []
-    import math as _math
-
     for i, n, c, seed in ctx.cases("hirz_reconstruct_p1"):
         rng = np.random.default_rng(seed + 6)
         d0 = ctx.plane(c, seed)
@@ -426,7 +423,7 @@ def _prop_hirz_reconstruct(ctx):
         if worst > 1e-9:
             _note(failures, i, n, c, seed, f"chart assembly violates intertwining: {worst:.2e}", d)
         ap = angle_pair(c, m)
-        dmat = sum(_math.comb(n - 1, q - 1) * ap.cos_val ** (n - q) * ap.sin_val ** (q - 1)
+        dmat = sum(math.comb(n - 1, q - 1) * ap.cos_val ** (n - q) * ap.sin_val ** (q - 1)
                    * d.C[q - 1] for q in range(1, n + 1))
         want = d0.b2 @ np.linalg.inv(frame)
         if rel_err(dmat, want) > 1e-9:
@@ -439,15 +436,15 @@ def _prop_hirz_p1_negative(ctx):
     failures = []
     cases = ctx.cases("hirz_p1_negative_detection", min_n=2)
     for i, n, c, seed in cases:
+        if c == 1:
+            continue  # scalars always commute; nothing to detect
         rng = np.random.default_rng(seed + 7)
         d0 = ctx.plane(c, seed)
         frame = random_well_conditioned(rng, c)
         m = int(rng.integers(0, c + 1))
         base = hirz_mod.from_chart(m, d0, frame, n, ctx.tol)
         # a free term that does not commute with B breaks only the right family
-        dmat = _complex_normal(rng, c, c) if c > 1 else None
-        if c == 1:
-            continue  # scalars always commute; nothing to detect
+        dmat = _complex_normal(rng, c, c)
         cs = hirz_mod.reconstruct_C(d0.b1, dmat, m, n, c)
         bad = hirz_mod.hirz_adhm(n, c, base.A1, base.A2, cs, base.e)
         rep = hirz_mod.validate_p1(bad, ctx.tol)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adhmkit import hirz as hirz_mod
 from adhmkit.errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
 from adhmkit.hirz import (
     act_gl2,
@@ -301,6 +302,65 @@ def test_jacobian_nullity_frozen(n, c, want):
     d = gen_hirz_valid(GenConfig(seed=51 + n + 10 * c, n=n, c=c))
     assert jacobian_nullity(d) == want
     assert want == 2 * c * c + 2 * c
+
+
+def _jacobian_by_basis_loop(d):
+    # reference: one column per basis matrix of each slot, rows interleaving the
+    # left and right families, as before the Kronecker assembly
+    c, n = d.c, d.n
+    zero = np.zeros((c, c), dtype=complex)
+    cols = []
+    for slot in range(n + 2):
+        for idx in range(c * c):
+            basis = np.zeros((c, c), dtype=complex)
+            basis[idx // c, idx % c] = 1.0
+            da1 = basis if slot == 0 else zero
+            da2 = basis if slot == 1 else zero
+            dc = [basis if slot == q + 2 else zero for q in range(n)]
+            if n == 1:
+                dr = [da1 @ d.C[0] @ d.A2 + d.A1 @ dc[0] @ d.A2 + d.A1 @ d.C[0] @ da2
+                      - da2 @ d.C[0] @ d.A1 - d.A2 @ dc[0] @ d.A1 - d.A2 @ d.C[0] @ da1]
+            else:
+                dr = []
+                for q in range(n - 1):
+                    dr.append(da1 @ d.C[q] + d.A1 @ dc[q] - da2 @ d.C[q + 1] - d.A2 @ dc[q + 1])
+                    dr.append(dc[q] @ d.A1 + d.C[q] @ da1 - dc[q + 1] @ d.A2 - d.C[q + 1] @ da2)
+            cols.append(np.concatenate([r.ravel() for r in dr]))
+    return np.column_stack(cols)
+
+
+def _loop_nullity(d):
+    # the reference cut: relative to s_max only, exact zero Jacobian -> ambient
+    ambient = (d.n + 2) * d.c * d.c + d.c
+    s = np.linalg.svd(_jacobian_by_basis_loop(d), compute_uv=False)
+    if s[0] == 0.0:
+        return ambient
+    return ambient - int(np.count_nonzero(s > DEFAULT_TOL.rank_rel_tol * s[0]))
+
+
+def test_jacobian_kron_matches_basis_loop():
+    for n in (1, 2, 3):
+        for c in (1, 2, 3):
+            d = gen_hirz_valid(GenConfig(seed=70 + 10 * n + c, n=n, c=c))
+            ref = _jacobian_by_basis_loop(d)
+            if n > 1:  # group the interleaved family rows: all left, then all right
+                ref = ref.reshape(n - 1, 2, c * c, -1).transpose(1, 0, 2, 3).reshape(ref.shape)
+            jac, _ = hirz_mod._jacobian(d)
+            assert jac.shape == ref.shape
+            assert np.linalg.norm(jac - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert jacobian_nullity(d) == _loop_nullity(d)
+    # at n = c = 1 the Jacobian vanishes; the loop gets an exact zero but the
+    # Kronecker products leave roundoff, which only the scale floor discards
+    for seed in range(200):
+        d = gen_hirz_valid(GenConfig(seed=seed, n=1, c=1))
+        assert jacobian_nullity(d) == _loop_nullity(d) == 4
+    # the floor has the Jacobian's units: one in the residual's units (cubic
+    # in the norms for n = 1, quadratic for n > 1) swamps its singular values
+    # once the point is scaled up, and the gap check then refuses
+    for n, c, seed in ((1, 3, 5), (3, 3, 4), (2, 4, 3)):
+        d0 = gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))
+        d = hirz_adhm(n, c, 1e6 * d0.A1, 1e6 * d0.A2, tuple(1e6 * x for x in d0.C), d0.e)
+        assert jacobian_nullity(d) == _loop_nullity(d) == 2 * c * c + 2 * c
 
 
 def test_jacobian_orbit_dimension_quotient():

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -46,7 +45,7 @@ class _CliError(Exception):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    text = serialize.dumps(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -56,10 +55,7 @@ def _emit(payload, out_path):
 
 def _read(path):
     if path == "-":
-        try:
-            return serialize.decode(json.load(sys.stdin), path="stdin")
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path="stdin") from exc
+        return serialize.loads(sys.stdin.read(), path="stdin")
     return serialize.load_path(path)
 
 

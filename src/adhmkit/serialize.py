@@ -5,11 +5,18 @@ arrays; covectors are single row arrays.  Floats pass through Python's
 shortest round-trip repr, so decode(encode(x)) is bit-exact.  Every decoder
 validates shapes against the declared sizes and raises ParseError with a
 JSON-pointer-ish path on any mismatch.
+
+Each numeric block (a row, a matrix or the whole C stack) is encoded with one
+numpy call and decoded in one vectorised pass that accepts only plain lists
+of the declared shape holding finite ``int``/``float`` pairs.  Anything that
+pass declines goes to the per-scalar walk, which is the sole judge of what is
+valid: it either builds the same array or raises the ParseError with its path.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -34,40 +41,32 @@ KIND_TOT = "tot_point"
 KIND_YTILDE = "ytilde_point"
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _row(v) -> list:
-    return [_pair(z) for z in np.asarray(v).ravel()]
-
-
-def _matrix(m) -> list:
-    m = np.asarray(m)
-    return [[_pair(z) for z in row] for row in m]
+def _pairs(a) -> list:
+    """Nested lists of [re, im] pairs for a complex scalar or array."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def encode(obj) -> dict:
     if isinstance(obj, PlaneADHM):
-        return {"kind": KIND_PLANE, "c": obj.c, "b1": _matrix(obj.b1),
-                "b2": _matrix(obj.b2), "e": _row(obj.e)}
+        return {"kind": KIND_PLANE, "c": obj.c, "b1": _pairs(obj.b1),
+                "b2": _pairs(obj.b2), "e": _pairs(obj.e)}
     if isinstance(obj, HirzADHM):
         return {"kind": KIND_HIRZ, "n": obj.n, "c": obj.c,
-                "A1": _matrix(obj.A1), "A2": _matrix(obj.A2),
-                "C": [_matrix(cq) for cq in obj.C], "e": _row(obj.e)}
+                "A1": _pairs(obj.A1), "A2": _pairs(obj.A2),
+                "C": _pairs(obj.C), "e": _pairs(obj.e)}
     if isinstance(obj, ChartCoords):
         return {"kind": KIND_CHART, "m": obj.m, "n": obj.n, "c": obj.c,
-                "B": _matrix(obj.B), "E": _matrix(obj.E), "e": _row(obj.e),
-                "A2m": _matrix(obj.A2m)}
+                "B": _pairs(obj.B), "E": _pairs(obj.E), "e": _pairs(obj.e),
+                "A2m": _pairs(obj.A2m)}
     if isinstance(obj, TotPoint):
-        return {"kind": KIND_TOT, "y1": _pair(obj.y1), "y2": _pair(obj.y2),
-                "u1": _pair(obj.u1), "u2": _pair(obj.u2)}
+        return {"kind": KIND_TOT, "y1": _pairs(obj.y1), "y2": _pairs(obj.y2),
+                "u1": _pairs(obj.u1), "u2": _pairs(obj.u2)}
     if isinstance(obj, YTildePoint):
-        return {"kind": KIND_YTILDE, "y1": _pair(obj.y1), "y2": _pair(obj.y2),
-                "x1": _pair(obj.x1), "x2": _pair(obj.x2)}
+        return {"kind": KIND_YTILDE, "y1": _pairs(obj.y1), "y2": _pairs(obj.y2),
+                "x1": _pairs(obj.x1), "x2": _pairs(obj.x2)}
     if isinstance(obj, ProjPoint):
-        return {"point": [_pair(obj.lam1), _pair(obj.lam2)]}
+        return {"point": [_pairs(obj.lam1), _pairs(obj.lam2)]}
     raise TypeError(f"encode: unsupported object type {type(obj).__name__}")
 
 
@@ -108,6 +107,45 @@ def _parse_matrix(v, rows, cols, path):
     return np.array([_parse_row(r, cols, f"{path}[{i}]") for i, r in enumerate(v)])
 
 
+def _fast_block(v, shape):
+    """The complex array of ``shape`` that ``v`` holds, or None to defer to the walk.
+
+    One pass per nesting level checks that every container is exactly a list
+    of the declared length and every scalar exactly an int or float; numpy
+    then converts them all at once.  This accepts a subset of what the walk
+    accepts and builds the same bits (the sign of -0.0 included), so any
+    input it declines, valid or not, is judged by the walk alone.
+    """
+    items = [v]
+    for size in shape + (2,):
+        if set(map(type, items)) != {list} or set(map(len, items)) != {size}:
+            return None
+        items = list(chain.from_iterable(items))
+    if not set(map(type, items)) <= {int, float}:
+        return None
+    try:
+        f = np.array(items, dtype=float)
+    except OverflowError:  # an int beyond float range: the walk raises it
+        return None
+    if not np.isfinite(f).all():
+        return None
+    return f.view(complex).reshape(shape)
+
+
+def _walk_block(v, shape, path):
+    """The per-scalar walk over a row ``(c,)``, a matrix ``(r, c)`` or a stack ``(n, r, c)``."""
+    if len(shape) == 1:
+        return _parse_row(v, *shape, path)
+    if len(shape) == 2:
+        return _parse_matrix(v, *shape, path)
+    return np.array([_parse_matrix(m, *shape[1:], f"{path}[{q}]") for q, m in enumerate(v)])
+
+
+def _parse_block(v, shape, path):
+    z = _fast_block(v, shape)
+    return _walk_block(v, shape, path) if z is None else z
+
+
 def decode(data, path="$"):
     """Decode a JSON object into the value its ``kind`` field declares."""
     kind = _get(data, "kind", path)
@@ -116,9 +154,9 @@ def decode(data, path="$"):
         if c < 1:
             raise ParseError("c must be >= 1", f"{path}/c")
         return plane_adhm(
-            _parse_matrix(_get(data, "b1", path), c, c, f"{path}/b1"),
-            _parse_matrix(_get(data, "b2", path), c, c, f"{path}/b2"),
-            _parse_row(_get(data, "e", path), c, f"{path}/e"),
+            _parse_block(_get(data, "b1", path), (c, c), f"{path}/b1"),
+            _parse_block(_get(data, "b2", path), (c, c), f"{path}/b2"),
+            _parse_block(_get(data, "e", path), (c,), f"{path}/e"),
         )
     if kind == KIND_HIRZ:
         n = _parse_int(data, "n", path)
@@ -130,10 +168,10 @@ def decode(data, path="$"):
             raise ParseError(f"expected {n} C-matrices", f"{path}/C")
         return hirz_adhm(
             n, c,
-            _parse_matrix(_get(data, "A1", path), c, c, f"{path}/A1"),
-            _parse_matrix(_get(data, "A2", path), c, c, f"{path}/A2"),
-            tuple(_parse_matrix(cq, c, c, f"{path}/C[{q}]") for q, cq in enumerate(cs)),
-            _parse_row(_get(data, "e", path), c, f"{path}/e"),
+            _parse_block(_get(data, "A1", path), (c, c), f"{path}/A1"),
+            _parse_block(_get(data, "A2", path), (c, c), f"{path}/A2"),
+            _parse_block(cs, (n, c, c), f"{path}/C"),
+            _parse_block(_get(data, "e", path), (c,), f"{path}/e"),
         )
     if kind == KIND_CHART:
         m = _parse_int(data, "m", path)
@@ -143,10 +181,10 @@ def decode(data, path="$"):
             raise ParseError("n and c must be >= 1", path)
         return chart_coords(
             m, n, c,
-            _parse_matrix(_get(data, "B", path), c, c, f"{path}/B"),
-            _parse_matrix(_get(data, "E", path), c, c, f"{path}/E"),
-            _parse_row(_get(data, "e", path), c, f"{path}/e"),
-            _parse_matrix(_get(data, "A2m", path), c, c, f"{path}/A2m"),
+            _parse_block(_get(data, "B", path), (c, c), f"{path}/B"),
+            _parse_block(_get(data, "E", path), (c, c), f"{path}/E"),
+            _parse_block(_get(data, "e", path), (c,), f"{path}/e"),
+            _parse_block(_get(data, "A2m", path), (c, c), f"{path}/A2m"),
         )
     if kind == KIND_TOT:
         vals = [_parse_complex(_get(data, k, path), f"{path}/{k}")

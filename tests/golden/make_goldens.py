@@ -1,8 +1,13 @@
 """Regenerate the golden JSON corpus used by the CLI tests.
 
 Run from the repository root:  python3 tests/golden/make_goldens.py
-All files are deterministic functions of the seeds below; the malformed
-files are written verbatim.
+The files are functions of the seeds below and of the numpy/BLAS build that
+runs the generators; the malformed files are written verbatim.
+
+The checked-in corpus is frozen input, not a build product: the tests pin its
+bytes (``dumps(load_path(f)) + "\\n"`` must equal the file).  Do not run this
+script in CI or to refresh the corpus: on numpy 2.4.6 / OpenBLAS 0.3.31 it
+rewrites two ``A2`` digits of ``hirz_valid_n1c1.json``.
 """
 
 import pathlib

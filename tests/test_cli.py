@@ -252,6 +252,7 @@ def test_stdin_invalid_json(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("{nope"))
     code, payload = run(capsys, "validate-plane", "-")
     assert code == 2 and payload["error"] == "parse" and payload["path"] == "stdin"
+    assert payload["detail"].endswith("line 1 column 2 (char 1)")
 
 
 def test_unknown_command_exits_2(capsys):

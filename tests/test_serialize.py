@@ -3,7 +3,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adhmkit import serialize
 from adhmkit.errors import ParseError
 from adhmkit.geometry import TotPoint, YTildePoint, tot_point, ytilde_point
 from adhmkit.hirz import ChartCoords, HirzADHM, chart_set, to_chart
@@ -59,15 +62,23 @@ def test_scalar_point_kinds_roundtrip():
     assert (y2.y1, y2.y2, y2.x1, y2.x2) == (y.y1, y.y2, y.x1, y.x2)
 
 
+AWKWARD = [0.1, 1 / 3, 1e-300, 2**-52, -0.0, 5e-324, -5e-324, 1e300]
+
+
 def test_awkward_floats_survive():
-    # shortest-repr floats must come back bit for bit
-    vals = [0.1, 1 / 3, 1e-300, 2**-52, -0.0]
-    p = plane_adhm([[vals[0] + 1j * vals[1]]], [[vals[2] + 1j * vals[3]]], [vals[4]])
-    q = roundtrip(p)
-    assert np.array_equal(p.b1, q.b1)
-    assert np.array_equal(p.b2, q.b2)
-    # -0.0 sign preserved
-    assert np.signbit(q.e[0].real) == np.signbit(np.float64(-0.0))
+    # shortest-repr floats, subnormals and -0.0 must come back bit for bit,
+    # in a 1 x 1 block and in a larger one
+    for c in (1, 2, 3):
+        rng = np.random.default_rng(c)
+        z = np.empty(2 * c * c + c, dtype=complex)
+        z.real, z.imag = rng.choice(AWKWARD, z.size), rng.choice(AWKWARD, z.size)
+        z[:2] = [complex(-0.0, 5e-324), complex(1e-300, -0.0)]
+        p = plane_adhm(z[:c * c].reshape(c, c), z[c * c:2 * c * c].reshape(c, c), z[2 * c * c:])
+        q = roundtrip(p)
+        for f in ("b1", "b2", "e"):
+            assert getattr(p, f).tobytes() == getattr(q, f).tobytes()
+        first = np.concatenate([q.b1.ravel(), q.b2.ravel()])[:2]
+        assert np.signbit(first[0].real) and np.signbit(first[1].imag)
 
 
 def test_golden_files_decode_to_expected_kinds():
@@ -145,3 +156,105 @@ def test_load_path_missing_file():
     with pytest.raises(ParseError) as exc:
         load_path(str(GOLDEN / "does_not_exist.json"))
     assert "cannot read file" in str(exc.value)
+
+
+def _outcome(fn):
+    try:
+        z = fn()
+    except ParseError as exc:
+        return ("error", exc.detail, exc.path)
+    return ("ok", z.dtype, z.shape, z.tobytes())
+
+
+def _spoil(pair, j, defect):
+    """Apply one defect to the [re, im] list ``pair`` at component j; return the new pair."""
+    if defect == "true":
+        pair[j] = True
+    elif defect == "string":
+        pair[j] = "1.5"
+    elif defect == "null":
+        pair[j] = None
+    elif defect == "nested":
+        pair[j] = [1.0, 2.0]
+    elif defect == "three":
+        pair.append(0.0)
+    elif defect == "infinity":
+        pair[j] = float("inf") if j else float("-inf")
+    elif defect == "nan":
+        pair[j] = float("nan")
+    elif defect == "tuple":
+        return tuple(pair)
+    elif defect == "ndarray":
+        return np.array(pair)
+    elif defect == "np_float64":  # the walk accepts it; the fast path defers
+        pair[j] = np.float64(pair[j])
+    return pair
+
+
+DEFECTS = ["true", "string", "null", "nested", "ragged", "three", "infinity", "nan",
+           "tuple", "ndarray", "np_float64", "none"]
+SCALARS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(3,), (1,), (2, 2), (1, 1), (3, 3), (2, 2, 2), (3, 1, 1), (1, 3, 3)]),
+       st.sampled_from(DEFECTS), st.data())
+def test_fast_block_agrees_with_walk(shape, defect, data):
+    size = int(np.prod(shape))
+    flat = data.draw(st.lists(SCALARS, min_size=2 * size, max_size=2 * size))
+    v = np.array(flat, dtype=object).reshape(shape + (2,)).tolist()
+    if defect == "infinity" and len(shape) == 3 and shape[0] >= 2:
+        pos = data.draw(st.integers(size // shape[0], 2 * size // shape[0] - 1))  # in C[1]
+    else:
+        pos = data.draw(st.integers(0, size - 1))
+    j = data.draw(st.integers(0, 1))
+    idx = np.unravel_index(pos, shape)
+    row = v
+    for i in idx[:-1]:
+        row = row[i]
+    if defect == "ragged":
+        row.pop()
+    elif defect != "none":
+        row[idx[-1]] = _spoil(row[idx[-1]], j, defect)
+    fast = serialize._fast_block(v, shape)
+    walk = _outcome(lambda: serialize._walk_block(v, shape, "$/X"))
+    assert _outcome(lambda: serialize._parse_block(v, shape, "$/X")) == walk
+    if defect == "none":
+        assert fast is not None and _outcome(lambda: fast) == walk
+    else:
+        assert fast is None
+    if defect in ("infinity", "nan"):
+        assert walk == ("error", "complex scalar must be finite",
+                        "$/X" + "".join(f"[{i}]" for i in idx))
+
+
+def test_decode_accepts_numpy_float_scalars():
+    d = gen_hirz_valid(GenConfig(seed=83, n=2, c=3))
+    data = json.loads(dumps(d))
+    for key in ("A1", "A2", "C", "e"):
+        data[key] = np.vectorize(np.float64, otypes=[object])(np.array(data[key])).tolist()
+    assert type(data["C"][1][2][0][1]) is np.float64
+    d2 = decode(data)
+    for f in ("A1", "A2", "e"):
+        assert getattr(d, f).tobytes() == getattr(d2, f).tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(d.C, d2.C))
+
+
+def test_infinity_in_c_stack_reports_its_path():
+    d = gen_hirz_valid(GenConfig(seed=84, n=3, c=2))
+    data = json.loads(dumps(d))
+    data["C"][1][0][1][1] = "INF"
+    text = json.dumps(data).replace('"INF"', "Infinity")
+    with pytest.raises(ParseError) as exc:
+        loads(text)
+    assert exc.value.detail == "complex scalar must be finite"
+    assert exc.value.path == "$/C[1][0][1]"
+
+
+@pytest.mark.parametrize("golden", sorted(g.name for g in GOLDEN.glob("*.json")
+                                          if not g.name.startswith("malformed_")))
+def test_golden_bytes_roundtrip(golden):
+    # the encoder's output bytes are part of the golden contract
+    path = GOLDEN / golden
+    assert dumps(load_path(str(path))) + "\n" == path.read_text()

@@ -103,11 +103,6 @@ def _report_exit(report):
     return 0
 
 
-def _pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _cmd_validate(args, tol):
     d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
     if args.p3_method == "direct":
@@ -172,7 +167,7 @@ def _cmd_canonical(args, tol):
     if isinstance(obj, plane.PlaneADHM):
         can, gauge = plane.canonical_form(obj, tol)
         _emit({"point": serialize.encode(can),
-               "gauge": [[_pair(z) for z in row] for row in np.asarray(gauge)]},
+               "gauge": serialize._pairs(gauge)},
               args.out)
         return 0
     if isinstance(obj, hirz.HirzADHM):
@@ -196,11 +191,11 @@ def _cmd_orbit_equal(args, tol):
 
 
 def _support_json(sup):
-    out = {"base": [{"point": [_pair(pt.lam1), _pair(pt.lam2)], "multiplicity": mult}
+    out = {"base": [{"point": serialize._pairs((pt.lam1, pt.lam2)), "multiplicity": mult}
                     for pt, mult in sup.base]}
     if sup.chart_pairs is not None:
         m, pairs = sup.chart_pairs
-        out["chart"] = {"m": m, "pairs": [[_pair(b), _pair(e)] for b, e in pairs]}
+        out["chart"] = {"m": m, "pairs": serialize._pairs(pairs)}
     return out
 
 
@@ -222,7 +217,7 @@ def _cmd_hilbert_chow(args, tol):
     lead = coeffs[np.argmax(np.abs(coeffs))]
     normalized = coeffs / lead
     _emit({"degree": form.degree,
-           "form": [_pair(z) for z in normalized],
+           "form": serialize._pairs(normalized),
            "cycle": _support_json(sup)["base"]},
           args.out)
     return 0

@@ -136,7 +136,9 @@ def base_support(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> SupportMult
     """Roots of det(lam2 A1 + lam1 A2) with multiplicity, for a valid point.
 
     This is the pencil of the co-stability pairing: the same binary form as
-    pencil_form(A1, A2) with the two projective coordinates swapped.
+    pencil_form(A1, A2) with the two projective coordinates swapped.  The
+    validity verdict is validate_hirz's report, reused when the point was
+    validated before at this tolerance.
     """
     _require_valid(d, tol, "base_support")
     swapped = pencil_form(d.A2, d.A1)

@@ -24,7 +24,7 @@ unless it is identically zero, every nondegenerate point owns a chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class HirzADHM:
     A2: np.ndarray
     C: tuple
     e: np.ndarray
+    # validate_hirz's reports by tolerance; used only when every array is read-only
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -331,12 +333,21 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
 
 
 def validate_hirz(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
-    """All three conditions, each decided once.
+    """All three conditions, each decided once per point and tolerance.
 
     P1 and P2 run once; when both pass, co-stability is one chart-route step
     at the smallest chart of P2's chart set.  Otherwise co-stability is
     refused.
+
+    Points are immutable values: hirz_adhm stores read-only copies of their
+    arrays.  The report is therefore memoized on the point, one per
+    tolerance, and later calls (base_support, chart_support, canonicalize,
+    p1_to_tot) return it without recomputing.  A point built directly from
+    writable arrays is validated afresh on every call.
     """
+    frozen = not any(a.flags.writeable for a in (d.A1, d.A2, d.e) + d.C)
+    if frozen and tol in d._reports:
+        return d._reports[tol]
     p1 = validate_p1(d, tol)
     p2 = validate_p2(d, tol)
     if p1.passed and p2.passed:
@@ -347,7 +358,10 @@ def validate_hirz(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Validation
             verdict=INDETERMINATE,
             detail="refused: intertwining or nondegeneracy already fails",
         )
-    return merge(p1, p2, ValidationReport(checks=(p3,)))
+    report = merge(p1, p2, ValidationReport(checks=(p3,)))
+    if frozen:
+        d._reports[tol] = report
+    return report
 
 
 def act_gl2(d: HirzADHM, phi1, phi2, tol: ToleranceConfig = DEFAULT_TOL) -> HirzADHM:
@@ -481,7 +495,8 @@ def canonicalize(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL):
 
     Picks the smallest chart m, gauges A2m to the identity, then applies the
     diagonal plane gauge that canonicalizes (B, E, e).  The output has
-    A2m = 1 and e = (1, 0, ..., 0).
+    A2m = 1 and e = (1, 0, ..., 0).  The validity verdict is validate_hirz's
+    report, reused when the point was validated before at this tolerance.
     """
     full = validate_hirz(d, tol)
     if not full.passed:

@@ -89,7 +89,10 @@ def _parse_complex(v, path):
     if (not isinstance(v, list) or len(v) != 2
             or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v)):
         raise ParseError("expected a complex scalar [re, im]", path)
-    z = complex(float(v[0]), float(v[1]))
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except OverflowError:  # an int literal beyond float range
+        raise ParseError("complex scalar must be finite", path) from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ParseError("complex scalar must be finite", path)
     return z
@@ -207,7 +210,7 @@ def dumps(data) -> str:
 def loads(text: str, path="$"):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
         raise ParseError(f"invalid JSON: {exc}", path) from exc
     return decode(data, path)
 

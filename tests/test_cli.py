@@ -255,6 +255,16 @@ def test_stdin_invalid_json(capsys, monkeypatch):
     assert payload["detail"].endswith("line 1 column 2 (char 1)")
 
 
+def test_int_beyond_float_range_is_parse_error(capsys, tmp_path):
+    data = json.loads(open(g("plane_valid_c2.json")).read())
+    data["b1"][0][0][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, payload = run(capsys, "validate-plane", str(path))
+    assert code == 2 and payload["error"] == "parse"
+    assert payload["path"].endswith("/b1[0][0]")
+
+
 def test_unknown_command_exits_2(capsys):
     code = cli.main(["frobnicate"])
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adhmkit import geometry, serialize
 from adhmkit import hirz as hirz_mod
 from adhmkit.errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
 from adhmkit.hirz import (
@@ -23,7 +24,7 @@ from adhmkit.hirz import (
     validate_p3,
     validate_p3_direct,
 )
-from adhmkit.linalg import DEFAULT_TOL, rank_tol, rel_err
+from adhmkit.linalg import DEFAULT_TOL, ToleranceConfig, rank_tol, rel_err
 from adhmkit.plane import from_points, plane_adhm
 from adhmkit.propsuite import GenConfig, gen_hirz_valid
 from adhmkit.sigma import angle_pair
@@ -368,3 +369,42 @@ def test_jacobian_orbit_dimension_quotient():
     for n, c in ((1, 2), (2, 3)):
         d = gen_hirz_valid(GenConfig(seed=60 + n, n=n, c=c))
         assert jacobian_nullity(d) - 2 * c * c == 2 * c
+
+
+def test_validation_report_is_reused_by_support_and_canonicalize(monkeypatch):
+    d = gen_hirz_valid(GenConfig(seed=51, n=2, c=3))
+    report = validate_hirz(d)
+    calls = []
+    for name in ("validate_p1", "validate_p2", "_costability_at"):
+        real = getattr(hirz_mod, name)
+        monkeypatch.setattr(hirz_mod, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    assert validate_hirz(d) is report
+    geometry.chart_support(d, report.chart_set[0])
+    canonicalize(d)
+    assert calls == []
+
+
+def test_validation_report_per_tolerance():
+    d = gen_hirz_valid(GenConfig(seed=51, n=2, c=3))
+    default = validate_hirz(d)
+    tight = validate_hirz(d, ToleranceConfig(eq_rel_tol=1e-30))
+    assert default.passed and not tight.passed
+    assert not tight.check("intertwine_left_1").passed
+    assert validate_hirz(d) is default and default.passed
+
+
+def test_point_with_writable_arrays_is_revalidated():
+    d = gen_hirz_valid(GenConfig(seed=52, n=1, c=3))
+    raw = hirz_mod.HirzADHM(n=d.n, c=d.c, A1=np.array(d.A1), A2=np.array(d.A2),
+                            C=tuple(np.array(x) for x in d.C), e=np.array(d.e))
+    assert validate_hirz(raw).passed
+    raw.C[0][0, 0] += 1.0
+    assert not validate_hirz(raw).check("intertwine").passed
+
+
+def test_validation_leaves_no_trace_in_repr_or_json():
+    d = gen_hirz_valid(GenConfig(seed=53, n=3, c=2))
+    before = (repr(d), serialize.dumps(d))
+    assert validate_hirz(d).passed
+    assert (repr(d), serialize.dumps(d)) == before

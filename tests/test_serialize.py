@@ -252,6 +252,23 @@ def test_infinity_in_c_stack_reports_its_path():
     assert exc.value.path == "$/C[1][0][1]"
 
 
+def test_int_beyond_float_range_reports_its_path():
+    data = json.loads(dumps(plane_adhm([[1.0, 0], [0, 2.0]], [[0, 1], [1, 0]], [1.0, 0.0])))
+    data["b1"][0][0][0] = 10**400
+    with pytest.raises(ParseError) as exc:
+        loads(json.dumps(data))
+    assert exc.value.detail == "complex scalar must be finite"
+    assert exc.value.path == "$/b1[0][0]"
+
+
+def test_int_over_digit_limit_is_invalid_json():
+    text = dumps(plane_adhm([[1.0]], [[2.0]], [1.0])).replace("2.0", "1" + "0" * 5000, 1)
+    with pytest.raises(ParseError) as exc:
+        loads(text)
+    assert exc.value.detail.startswith("invalid JSON: ")
+    assert exc.value.path == "$"
+
+
 @pytest.mark.parametrize("golden", sorted(g.name for g in GOLDEN.glob("*.json")
                                           if not g.name.startswith("malformed_")))
 def test_golden_bytes_roundtrip(golden):

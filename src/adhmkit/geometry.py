@@ -1,9 +1,9 @@
 """Support data on the surface: pencils, base roots, and the c = 1 bridge.
 
-The base direction of a point is read off the determinant of the matrix
-pencil of (A1, A2); its roots, paired against chart spectra, realize the
-map from a length-c subscheme to its support cycle.  For c = 1 the module
-also walks single points between three models: the hypersurface
+The support cycle of a point is the root cycle of the pencil determinant of
+(A1, A2), computed as the spectrum of B at a chart carried back through the
+chart angle; the fibre data are the joint (B, E) pairs there.  For c = 1
+the module also walks single points between three models: the hypersurface
 x1 y1^(n-1) = x2 y2^(n-1), the ADHM tuple, and the total space of O(-n)
 written as pairs (y1, y2), (u1, u2) with u1 y1^n = u2 y2^n.
 """
@@ -22,11 +22,12 @@ from .linalg import (
     DEFAULT_TOL,
     BinaryForm,
     ToleranceConfig,
+    _cluster_roots,
     as_matrix,
     binary_form,
-    binary_form_roots,
     eigenvalues,
     greedy_match,
+    proj_point,
 )
 from .sigma import angle_pair, sigma_matrix
 
@@ -135,14 +136,18 @@ def _require_valid(d: HirzADHM, tol: ToleranceConfig, who: str):
 def base_support(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> SupportMultiset:
     """Roots of det(lam2 A1 + lam1 A2) with multiplicity, for a valid point.
 
-    This is the pencil of the co-stability pairing: the same binary form as
-    pencil_form(A1, A2) with the two projective coordinates swapped.  The
-    validity verdict is validate_hirz's report, reused when the point was
-    validated before at this tolerance.
+    The roots are the eigenvalues of B at the first chart of validate_hirz's
+    chart set, carried back through the chart angle (the inverse of
+    _root_to_fibre_coordinate) and clustered within root_cluster_tol.  Roots
+    of the determinant's coefficients drift at large c; pencil_form stays
+    the independent witness.
     """
-    _require_valid(d, tol, "base_support")
-    swapped = pencil_form(d.A2, d.A1)
-    return SupportMultiset(base=binary_form_roots(swapped, tol))
+    m = _require_valid(d, tol, "base_support").chart_set[0]
+    ap = angle_pair(d.c, m)
+    beta = eigenvalues(to_chart(d, m, tol).B)
+    points = [proj_point(-(ap.sin_val + b * ap.cos_val), ap.cos_val - b * ap.sin_val)
+              for b in beta]
+    return SupportMultiset(base=_cluster_roots(points, tol.root_cluster_tol))
 
 
 def _root_to_fibre_coordinate(pt, ap):

@@ -155,47 +155,31 @@ def from_points(points, tol: ToleranceConfig = DEFAULT_TOL) -> PlaneADHM:
     return plane_adhm(np.diag(arr[:, 0]), np.diag(arr[:, 1]), np.ones(len(pts)))
 
 
-def _common_eigenvector(b1, b2, tol: ToleranceConfig):
-    """A joint eigenvector of a commuting pair, chosen deterministically."""
-    c = b1.shape[0]
-    evals = np.linalg.eigvals(b1)
-    lam = min(evals, key=lambda z: (z.real, z.imag))
-    space = kernel_basis(b1 - lam * np.eye(c), tol)
-    if space.shape[1] == 0:
-        # fall back to the singular vector of the smallest singular value
-        _, _, vh = np.linalg.svd(b1 - lam * np.eye(c))
-        space = vh[-1:].conj().T
-    if space.shape[1] == 1:
-        return space[:, 0]
-    restricted = space.conj().T @ b2 @ space
-    mu_vals, mu_vecs = np.linalg.eig(restricted)
-    idx = min(range(len(mu_vals)), key=lambda i: (mu_vals[i].real, mu_vals[i].imag))
-    v = space @ mu_vecs[:, idx]
-    return v / np.linalg.norm(v)
+# fixed generic weight: a wrong pair (beta_i, eps_j) lands on an eigenvalue of
+# b1 + t b2 only where two joint eigenvalues collide along this direction
+_PAIRING_T = 0.6180339887498949 + 0.4142135623730951j
 
 
 def joint_spectrum(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL):
     """Joint eigenvalue pairs of the commuting pair (b1, b2).
 
-    Triangularizes b1 and b2 simultaneously by deflating joint eigenvectors
-    and reads consistently paired diagonal entries.  Returns a list of
-    (beta, eps) pairs sorted by (real, imag) of each component.
+    The spectrum of b1 + t b2 is {beta + t eps} over the joint pairs, so the
+    eigenvalues of b1 and b2 are paired greedily by the smallest
+    |beta_i + t eps_j - mu_k| over the eigenvalues mu_k of b1 + t b2; never
+    through eigenvectors, which mix where two pairs collide under t.
+    Returns (beta, eps) pairs sorted by (real, imag) of each component.
     """
     if _commutator_rel(d.b1, d.b2) > tol.eq_rel_tol:
         raise InvalidPointError("joint_spectrum: matrices do not commute at tolerance")
-    b1 = np.array(d.b1)
-    b2 = np.array(d.b2)
+    beta = np.linalg.eigvals(d.b1)
+    eps = np.linalg.eigvals(d.b2)
+    mu = np.linalg.eigvals(d.b1 + _PAIRING_T * d.b2)
+    dist = np.abs(beta[:, None, None] + _PAIRING_T * eps[None, :, None] - mu)
     pairs = []
-    while b1.shape[0] > 1:
-        c = b1.shape[0]
-        v = _common_eigenvector(b1, b2, tol)
-        q, _ = np.linalg.qr(np.column_stack([v, np.eye(c)]))
-        b1 = q.conj().T @ b1 @ q
-        b2 = q.conj().T @ b2 @ q
-        pairs.append((complex(b1[0, 0]), complex(b2[0, 0])))
-        b1 = b1[1:, 1:]
-        b2 = b2[1:, 1:]
-    pairs.append((complex(b1[0, 0]), complex(b2[0, 0])))
+    for _ in range(d.c):
+        i, j, k = np.unravel_index(np.argmin(dist), dist.shape)
+        pairs.append((complex(beta[i]), complex(eps[j])))
+        dist[i] = dist[:, j] = dist[:, :, k] = np.inf
     pairs.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
     return pairs
 

@@ -91,6 +91,21 @@ def test_spectrum_vs_pencil_on_generated_points():
             assert spectrum_vs_pencil_check(d, m)
 
 
+@pytest.mark.parametrize("n,c", [(1, 1), (2, 2), (3, 3), (2, 6), (3, 9), (2, 12)])
+def test_base_roots_are_zeros_of_the_pencil_determinant(n, c):
+    # base_support reads the roots off the spectrum of B; the determinant's
+    # coefficients, computed independently, must still vanish there
+    for seed in range(3):
+        d = gen_hirz_valid(GenConfig(seed=80 + seed, n=n, c=c))
+        f = pencil_form(d.A2, d.A1)
+        p = np.arange(c + 1)
+        support = base_support(d).base
+        assert sum(mult for _, mult in support) == c
+        for pt, _ in support:
+            terms = f.coeffs * pt.lam1 ** (c - p) * pt.lam2**p
+            assert abs(terms.sum()) <= 1e-8 * np.abs(terms).sum()
+
+
 def test_chart_support_pairs_match_joint_spectrum():
     d = gen_hirz_valid(GenConfig(seed=71, n=2, c=3))
     m = chart_set(d)[0]

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from adhmkit.errors import DomainError, InvalidPointError, ShapeError
-from adhmkit.linalg import DEFAULT_TOL, greedy_match, rel_err
+from adhmkit.linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    greedy_match,
+    kernel_basis,
+    random_well_conditioned,
+    rel_err,
+)
 from adhmkit.plane import (
+    _PAIRING_T,
     act_gl,
     canonical_form,
     from_points,
@@ -100,6 +108,102 @@ def test_joint_spectrum_nondiagonalizable_frozen():
     assert len(spectrum) == 2
     for beta, eps in spectrum:
         assert abs(beta - 1.0) < 1e-9 and abs(eps - 5.0) < 1e-9
+
+
+def _common_eigenvector(b1, b2):
+    """A joint eigenvector of a commuting pair, chosen deterministically."""
+    c = b1.shape[0]
+    evals = np.linalg.eigvals(b1)
+    lam = min(evals, key=lambda z: (z.real, z.imag))
+    space = kernel_basis(b1 - lam * np.eye(c), DEFAULT_TOL)
+    if space.shape[1] == 0:
+        # fall back to the singular vector of the smallest singular value
+        _, _, vh = np.linalg.svd(b1 - lam * np.eye(c))
+        space = vh[-1:].conj().T
+    if space.shape[1] == 1:
+        return space[:, 0]
+    restricted = space.conj().T @ b2 @ space
+    mu_vals, mu_vecs = np.linalg.eig(restricted)
+    idx = min(range(len(mu_vals)), key=lambda i: (mu_vals[i].real, mu_vals[i].imag))
+    v = space @ mu_vecs[:, idx]
+    return v / np.linalg.norm(v)
+
+
+def deflation_spectrum(d):
+    """Reference joint spectrum: triangularize (b1, b2) simultaneously by
+    deflating one joint eigenvector at a time, and read the diagonal pairs."""
+    b1 = np.array(d.b1)
+    b2 = np.array(d.b2)
+    pairs = []
+    while b1.shape[0] > 1:
+        c = b1.shape[0]
+        v = _common_eigenvector(b1, b2)
+        q, _ = np.linalg.qr(np.column_stack([v, np.eye(c)]))
+        b1 = q.conj().T @ b1 @ q
+        b2 = q.conj().T @ b2 @ q
+        pairs.append((complex(b1[0, 0]), complex(b2[0, 0])))
+        b1 = b1[1:, 1:]
+        b2 = b2[1:, 1:]
+    pairs.append((complex(b1[0, 0]), complex(b2[0, 0])))
+    return pairs
+
+
+def conjugated(b1, b2, e):
+    g = random_well_conditioned(np.random.default_rng(0), len(e))
+    return act_gl(plane_adhm(b1, b2, np.asarray(e, dtype=complex)), g)
+
+
+JORDAN_AT = (0.7 - 0.4j, 2.0)
+
+
+def jordan_triple(k, e):
+    """Curvilinear length-k point at JORDAN_AT: b1 = lam + N, b2 = 2 + 3N + N^2."""
+    nil = np.eye(k, k=1, dtype=complex)
+    lam, eps = JORDAN_AT
+    return conjugated(lam * np.eye(k) + nil, eps * np.eye(k) + 3 * nil + nil @ nil, e)
+
+
+def collision_triple(e, z=0.3 + 0.2j):
+    """Joint eigenvalues (z, 1) and (z + t, 0): both are z + t on b1 + t b2."""
+    return conjugated(np.diag([z, z + _PAIRING_T]), np.diag([1.0 + 0j, 0.0]), e)
+
+
+@pytest.mark.parametrize("d", [
+    *(gen_plane_valid(GenConfig(seed=40 + c, c=c)) for c in (1, 2, 3, 4, 5, 6, 12, 32)),
+    from_points(((1, 3), (1, 4), (2, 3))),
+    collision_triple((1.0, 1.0)),
+], ids=[*(f"gen_c{c}" for c in (1, 2, 3, 4, 5, 6, 12, 32)), "shared_beta", "collision"])
+def test_joint_spectrum_matches_deflation(d):
+    got = joint_spectrum(d)
+    assert len(got) == d.c
+    assert greedy_match(np.array(got), np.array(deflation_spectrum(d)),
+                        ToleranceConfig(eq_rel_tol=1e-9))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_joint_spectrum_jordan_error_within_reference(k):
+    # a k-fold eigenvalue is computed only to about eps^(1/k); pairing the
+    # eigenvalues must not lose more than the reference's deflation does
+    d = jordan_triple(k, np.eye(k)[0])
+
+    def err(pairs):
+        return max(abs(beta - JORDAN_AT[0]) + abs(eps - JORDAN_AT[1]) for beta, eps in pairs)
+
+    assert len(joint_spectrum(d)) == k
+    assert err(joint_spectrum(d)) <= 10 * err(deflation_spectrum(d))
+
+
+# the generator draws only reduced, well-separated points; these pin the
+# co-stability verdict on a fat point and on a pair that collides under t
+@pytest.mark.parametrize("d,ok", [
+    *((jordan_triple(k, np.eye(k)[0]), True) for k in (2, 3, 4)),
+    *((jordan_triple(k, np.eye(k)[1]), False) for k in (2, 3, 4)),
+    (collision_triple((1.0, 1.0)), True),
+    (collision_triple((1.0, 0.0)), False),
+], ids=["jordan2_e1", "jordan3_e1", "jordan4_e1", "jordan2_e2", "jordan3_e2", "jordan4_e2",
+        "collision_e11", "collision_e10"])
+def test_validate_plane_costability_off_the_generator(d, ok):
+    assert validate_plane(d).check("costability").verdict == ("pass" if ok else "fail")
 
 
 def test_joint_spectrum_requires_commutation():

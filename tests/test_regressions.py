@@ -3,7 +3,8 @@
 Each test asserts the correct behaviour and is marked ``xfail(strict=True)``:
 it fails today for the recorded reason, and an unexpected pass (XPASS) fails
 the suite, so a fix (or an accidental change of verdict) cannot go unnoticed.
-When a defect is fixed, drop its marker.
+When a defect is fixed, drop its marker; the test then stays as a
+regression test for the fix.
 """
 
 import numpy as np
@@ -41,20 +42,20 @@ def test_orbit_calculus_seed_7():
     assert [f["detail"] for r in report.results for f in r.failures] == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="base roots from the pencil determinant's coefficients drift "
-                          "from the spectrum of B beyond eq_rel_tol at c = 24")
-@pytest.mark.parametrize("seed", [9, 10])
-def test_support_roots_match_spectrum_c24(seed):
-    d = gen_hirz_valid(GenConfig(seed=seed, n=2, c=24))
+@pytest.mark.parametrize("n,c,seed", [(2, 24, 9), (2, 24, 10), (2, 32, 3), (8, 32, 10)])
+def test_support_roots_match_spectrum(n, c, seed):
+    # base roots taken from the pencil determinant's coefficients drifted
+    # from the spectrum of B beyond eq_rel_tol on these points
+    d = gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))
     assert spectrum_vs_pencil_check(d, chart_set(d)[0])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the chart-route co-stability subspace iteration loses the "
-                          "destabilizing vector at c = 32")
-def test_broken_costability_rejected_c32():
-    d = gen_hirz_valid(GenConfig(seed=5, n=8, c=32))
+                          "destabilizing vector")
+@pytest.mark.parametrize("seed,n,c", [(5, 8, 32), (1, 3, 12)])
+def test_broken_costability_rejected(seed, n, c):
+    d = gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))
     m = chart_set(d)[0]
     v = np.linalg.eig(to_chart(d, m).B)[1][:, 0]
     e = d.e - (d.e @ v) * v.conj() / np.vdot(v, v)

@@ -27,7 +27,6 @@ from .linalg import (
     binary_form,
     eigenvalues,
     greedy_match,
-    proj_point,
 )
 from .sigma import angle_pair, sigma_matrix
 
@@ -133,21 +132,26 @@ def _require_valid(d: HirzADHM, tol: ToleranceConfig, who: str):
     return rep
 
 
+def _chart_base_roots(cc, tol: ToleranceConfig) -> tuple:
+    """Base roots read off chart coordinates: the eigenvalues of B, carried
+    back through the chart angle (the inverse of _root_to_fibre_coordinate)
+    and clustered within root_cluster_tol."""
+    ap = angle_pair(cc.c, cc.m)
+    beta = eigenvalues(cc.B)
+    points = np.stack([-(ap.sin_val + beta * ap.cos_val), ap.cos_val - beta * ap.sin_val], axis=1)
+    return _cluster_roots(points, tol.root_cluster_tol)
+
+
 def base_support(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> SupportMultiset:
     """Roots of det(lam2 A1 + lam1 A2) with multiplicity, for a valid point.
 
     The roots are the eigenvalues of B at the first chart of validate_hirz's
-    chart set, carried back through the chart angle (the inverse of
-    _root_to_fibre_coordinate) and clustered within root_cluster_tol.  Roots
-    of the determinant's coefficients drift at large c; pencil_form stays
-    the independent witness.
+    chart set, carried back through the chart angle and clustered within
+    root_cluster_tol.  Roots of the determinant's coefficients drift at
+    large c; pencil_form stays the independent witness.
     """
     m = _require_valid(d, tol, "base_support").chart_set[0]
-    ap = angle_pair(d.c, m)
-    beta = eigenvalues(to_chart(d, m, tol).B)
-    points = [proj_point(-(ap.sin_val + b * ap.cos_val), ap.cos_val - b * ap.sin_val)
-              for b in beta]
-    return SupportMultiset(base=_cluster_roots(points, tol.root_cluster_tol))
+    return SupportMultiset(base=_chart_base_roots(to_chart(d, m, tol), tol))
 
 
 def _root_to_fibre_coordinate(pt, ap):
@@ -158,7 +162,15 @@ def _root_to_fibre_coordinate(pt, ap):
 
 
 def spectrum_vs_pencil_check(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Base roots, pushed into chart m, must reproduce the spectrum of B."""
+    """Base roots, pushed into chart m, must reproduce the spectrum of B.
+
+    base_support reads its roots off B at chart_set[0], so at that chart
+    this compares B's spectrum with itself through the chart-angle map and
+    its inverse, true by construction; only other charts compare two
+    independent routes.  The independent witness that the roots are zeros
+    of det(lam2 A1 + lam1 A2) is
+    tests/test_geometry.py::test_base_roots_are_zeros_of_the_pencil_determinant.
+    """
     support = base_support(d, tol)
     cc = to_chart(d, m, tol)
     ap = angle_pair(d.c, m)
@@ -169,11 +181,16 @@ def spectrum_vs_pencil_check(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT
 
 
 def chart_support(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> SupportMultiset:
-    """Support with fibre data: base roots plus joint (B, E) pairs at chart m."""
-    support = base_support(d, tol)
+    """Support with fibre data: base roots plus joint (B, E) pairs at chart m.
+
+    The base roots are base_support's, read at chart_set[0]; when m is that
+    chart, roots and pairs come off one to_chart call.
+    """
+    first = _require_valid(d, tol, "base_support").chart_set[0]  # the roots are base_support's
     cc = to_chart(d, m, tol)
+    base = _chart_base_roots(cc if m == first else to_chart(d, first, tol), tol)
     pairs = plane_mod.joint_spectrum(hirz_mod.plane_part(cc), tol)
-    return SupportMultiset(base=support.base, chart_pairs=(m, tuple(pairs)))
+    return SupportMultiset(base=base, chart_pairs=(m, tuple(pairs)))
 
 
 def um_membership(x, m: int, c_base: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -230,29 +230,34 @@ def proj_distance(p: ProjPoint, q: ProjPoint) -> float:
 
 
 def _cluster_roots(points, radius):
-    """Greedy clustering of projective points; returns (rep, mult) pairs."""
-    clusters = []  # [unit vector sum, count, first unit vector]
-    for pt in points:
-        u = np.array([pt.lam1, pt.lam2], dtype=np.complex128)
-        u /= np.linalg.norm(u)
-        placed = False
-        for entry in clusters:
-            rep = entry[0] / np.linalg.norm(entry[0])
-            if proj_distance(ProjPoint(rep[0], rep[1]), pt) < radius:
-                # align phase with the running representative before averaging
-                ph = np.vdot(rep, u)
-                if ph != 0:
-                    u = u * (ph.conjugate() / abs(ph))
-                entry[0] = entry[0] + u
-                entry[1] += 1
-                placed = True
-                break
-        if not placed:
-            clusters.append([u, 1])
-    out = []
-    for vec, count in clusters:
-        rep = vec / np.linalg.norm(vec)
-        out.append((proj_point(rep[0], rep[1]), count))
+    """Greedy clustering of projective points; returns (rep, mult) pairs.
+
+    ``points`` holds one homogeneous pair [lam1, lam2] per row.  Each point,
+    scaled to a unit vector, joins the first cluster whose representative
+    lies within chordal distance ``radius`` (|r0 u1 - r1 u0| on unit
+    vectors), phase-aligned with that representative before it is added to
+    the cluster's running sum; the representative is the normalized sum.
+    """
+    units = np.asarray(points, dtype=np.complex128).reshape(-1, 2)
+    units = units / np.linalg.norm(units, axis=1)[:, None]
+    sums = np.empty_like(units)
+    reps = np.empty_like(units)
+    counts = []
+    for u in units:
+        k = len(counts)
+        near = np.flatnonzero(np.abs(reps[:k, 0] * u[1] - reps[:k, 1] * u[0]) < radius)
+        if near.size == 0:
+            sums[k] = reps[k] = u
+            counts.append(1)
+            continue
+        j = near[0]
+        ph = np.vdot(reps[j], u)
+        if ph != 0:
+            u = u * (ph.conjugate() / abs(ph))
+        sums[j] += u
+        reps[j] = sums[j] / np.linalg.norm(sums[j])
+        counts[j] += 1
+    out = [(proj_point(*rep), count) for rep, count in zip(reps, counts)]
     out.sort(key=lambda t: (t[0].lam1.real, t[0].lam1.imag, t[0].lam2.real, t[0].lam2.imag))
     return tuple(out)
 
@@ -272,23 +277,18 @@ def binary_form_roots(f: BinaryForm, tol: ToleranceConfig = DEFAULT_TOL):
     deg = f.degree
     if deg == 0:
         return ()
-    if abs(coeffs[0]) >= abs(coeffs[-1]):
-        # polynomial in y = nu1/nu2, highest power first; lost roots sit at [1, 0]
-        poly = coeffs.copy()
-        to_point = lambda r: proj_point(r, 1.0)
-        pole = proj_point(1.0, 0.0)
-    else:
-        poly = coeffs[::-1].copy()
-        to_point = lambda r: proj_point(1.0, r)
-        pole = proj_point(0.0, 1.0)
+    # polynomial in y = nu1/nu2, highest power first, with lost roots at [1 : 0];
+    # the other end swaps the roles of nu1 and nu2
+    flip = abs(coeffs[0]) < abs(coeffs[-1])
+    poly = coeffs[::-1] if flip else coeffs
     k = 0
     while k < deg and abs(poly[k]) <= tol.rank_rel_tol * maxabs:
         k += 1
-    points = [pole] * k
-    upoly = poly[k:]
-    if upoly.size > 1:
-        points.extend(to_point(r) for r in np.roots(upoly))
-    return _cluster_roots(points, tol.root_cluster_tol)
+    points = np.zeros((deg, 2), dtype=np.complex128)
+    points[:k, 0] = 1.0
+    points[k:, 0] = np.roots(poly[k:])
+    points[k:, 1] = 1.0
+    return _cluster_roots(points[:, ::-1] if flip else points, tol.root_cluster_tol)
 
 
 def random_well_conditioned(rng, c, spread=16.0) -> np.ndarray:

@@ -11,12 +11,21 @@ numpy call and decoded in one vectorised pass that accepts only plain lists
 of the declared shape holding finite ``int``/``float`` pairs.  Anything that
 pass declines goes to the per-scalar walk, which is the sole judge of what is
 valid: it either builds the same array or raises the ParseError with its path.
+
+``dumps`` writes exactly the text of the stdlib's encoder with ``indent=2``
+and ``allow_nan=False``, errors included, through an emitter of its own.  A
+regular nested block of plain floats is rendered in one pass: one finiteness
+check, one ``float.__repr__`` map, and one fill of a template whose brackets
+and separators are built level by level.  Everything else is walked item by
+item the way the stdlib's indent encoder walks it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -200,11 +209,116 @@ def decode(data, path="$"):
     raise ParseError(f"unknown kind {kind!r}", f"{path}/kind")
 
 
+_INDENT = "  "
+_NONFINITE = "Out of range float values are not JSON compliant: "
+
+
+def _float_text(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError(_NONFINITE + repr(x))
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key converted to a string the way the stdlib does before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_block(v):
+    """(shape, flat values) when the list ``v`` is a regular block of floats, else None.
+
+    The same per-level check as ``_fast_block``: every container exactly a
+    non-empty list of one length, every leaf exactly a ``float``.  A bool, an
+    int or any other leaf type leaves the block to the item-by-item walk.
+    """
+    items, shape = [v], []
+    while set(map(type, items)) == {list}:
+        sizes = set(map(len, items))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.append(sizes.pop())
+        items = list(chain.from_iterable(items))
+    return (shape, items) if set(map(type, items)) == {float} else None
+
+
+def _block_seps(shape, level) -> list:
+    """The strings around the values of a block whose "[" sits on indent ``level``.
+
+    One more string than values: ``seps[i]`` goes before value ``i`` and the
+    last one closes the block.  A level's list repeats its child's inner
+    separators, and glues adjacent children with ",\\n" and the indent.
+    """
+    inner = "\n" + _INDENT * (level + 1)
+    child = _block_seps(shape[1:], level + 1) if len(shape) > 1 else ["", ""]
+    first, mid, last = child[0], child[1:-1], child[-1]
+    joint = last + "," + inner + first
+    return (["[" + inner + first] + (mid + [joint]) * (shape[0] - 1) + mid
+            + [last + "\n" + _INDENT * level + "]"])
+
+
+def _block_text(shape, items, level) -> str:
+    """Text of a float block: one finiteness check, one repr map, one fill."""
+    finite = np.isfinite(np.array(items))
+    if not finite.all():
+        raise ValueError(_NONFINITE + repr(items[int(np.argmin(finite))]))
+    return "%s".join(_block_seps(shape, level)) % tuple(map(float.__repr__, items))
+
+
+def _join(open_, parts, close, level) -> str:
+    if not parts:
+        return open_ + close
+    inner = "\n" + _INDENT * (level + 1)
+    return open_ + inner + ("," + inner).join(parts) + "\n" + _INDENT * level + close
+
+
+def _emit(o, level) -> str:
+    """JSON text of ``o`` whose first character sits on a line of indent ``level``."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple)):
+        block = _float_block(o)
+        if block is not None:
+            return _block_text(*block, level)
+        return _join("[", [_emit(v, level + 1) for v in o], "]", level)
+    if isinstance(o, dict):
+        parts = [encode_basestring_ascii(_key_text(k)) + ": " + _emit(v, level + 1)
+                 for k, v in o.items()]
+        return _join("{", parts, "}", level)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def dumps(data) -> str:
-    """JSON text for a library object (or an already-encoded dict)."""
+    """JSON text for a library object (or an already-encoded dict).
+
+    The text is what the stdlib's encoder writes with ``indent=2`` and
+    ``allow_nan=False``: ValueError on NaN or infinity, TypeError on an
+    unsupported object.
+    """
     if not isinstance(data, (dict, list)):
         data = encode(data)
-    return json.dumps(data, indent=2, allow_nan=False)
+    return _emit(data, 0)
 
 
 def loads(text: str, path="$"):

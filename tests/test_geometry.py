@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adhmkit import geometry
 from adhmkit.errors import DomainError, InvalidPointError, ShapeError
 from adhmkit.geometry import (
     base_support,
@@ -120,6 +121,21 @@ def test_chart_support_pairs_match_joint_spectrum():
                                   sorted(want, key=lambda z: (z[0].real, z[0].imag))):
         assert abs(b1 - w1) < 1e-7
         assert abs(b2 - w2) < 1e-7
+
+
+def test_chart_support_charts_the_point_once(monkeypatch):
+    d = gen_hirz_valid(GenConfig(seed=72, n=2, c=3))
+    charts = chart_set(d)
+    assert len(charts) > 1
+    real = geometry.to_chart
+    calls = []
+    monkeypatch.setattr(geometry, "to_chart", lambda *a: calls.append(a[1]) or real(*a))
+    first = chart_support(d, charts[0])
+    assert calls == [charts[0]]
+    # any other chart still takes its base roots from the first one
+    other = chart_support(d, charts[1])
+    assert calls[1:] == [charts[1], charts[0]]
+    assert other.base == first.base == base_support(d).base
 
 
 def test_base_support_gauge_invariant():

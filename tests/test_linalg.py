@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adhmkit import linalg
 from adhmkit.errors import DomainError, InvalidPointError, ShapeError
+from adhmkit.hirz import to_chart, validate_hirz
 from adhmkit.linalg import (
     DEFAULT_TOL,
     BinaryForm,
+    ProjPoint,
     ToleranceConfig,
     binary_form,
     binary_form_roots,
@@ -20,6 +23,8 @@ from adhmkit.linalg import (
     rank_tol,
     rel_err,
 )
+from adhmkit.propsuite import GenConfig, gen_hirz_valid
+from adhmkit.sigma import angle_pair
 
 
 def test_tolerance_config_defaults():
@@ -200,3 +205,63 @@ def test_binary_form_roots_scale_invariant_hypothesis(scale):
     assert len(r1) == len(r2)
     for (p1, k1) in r1:
         assert any(k1 == k2 and proj_distance(p1, p2) < 1e-8 for p2, k2 in r2)
+
+
+def _cluster_roots_loop(points, radius):
+    """Reference for linalg._cluster_roots: one ProjPoint pair at a time."""
+    clusters = []  # [unit vector sum, count]
+    for pt in points:
+        u = np.array([pt.lam1, pt.lam2], dtype=np.complex128)
+        u /= np.linalg.norm(u)
+        for entry in clusters:
+            rep = entry[0] / np.linalg.norm(entry[0])
+            if proj_distance(ProjPoint(rep[0], rep[1]), pt) < radius:
+                ph = np.vdot(rep, u)
+                if ph != 0:
+                    u = u * (ph.conjugate() / abs(ph))
+                entry[0] = entry[0] + u
+                entry[1] += 1
+                break
+        else:
+            clusters.append([u, 1])
+    out = [(proj_point(*(vec / np.linalg.norm(vec))), count) for vec, count in clusters]
+    out.sort(key=lambda t: (t[0].lam1.real, t[0].lam1.imag, t[0].lam2.real, t[0].lam2.imag))
+    return tuple(out)
+
+
+def _assert_same_clusters(points, radius=DEFAULT_TOL.root_cluster_tol):
+    pts = [proj_point(a, b) for a, b in points]
+    got = linalg._cluster_roots([(p.lam1, p.lam2) for p in pts], radius)
+    want = _cluster_roots_loop(pts, radius)
+    assert [k for _, k in got] == [k for _, k in want]
+    for (p, _), (q, _) in zip(got, want):
+        # unit vectors are normalized in one batched norm, so the last bit may move
+        assert abs(p.lam1 - q.lam1) <= 1e-15 and abs(p.lam2 - q.lam2) <= 1e-15
+
+
+@pytest.mark.parametrize("n,c", [(1, 1), (2, 3), (3, 8), (1, 16), (5, 24), (2, 32)])
+def test_cluster_roots_matches_loop_on_generated_supports(n, c):
+    d = gen_hirz_valid(GenConfig(seed=90 + c, n=n, c=c))
+    m = validate_hirz(d).chart_set[0]
+    ap = angle_pair(c, m)
+    beta = np.linalg.eigvals(to_chart(d, m).B)
+    _assert_same_clusters(zip(-(ap.sin_val + beta * ap.cos_val), ap.cos_val - beta * ap.sin_val))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_roots_matches_loop_on_tight_clusters_and_poles(seed):
+    rng = np.random.default_rng(seed)
+    tol = DEFAULT_TOL.root_cluster_tol
+    centers = [(1.0, 0.0), (0.0, 1.0)] + list(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+    points = []
+    for a, b in centers:
+        for _ in range(rng.integers(1, 5)):  # a k-fold root, spread well inside the radius
+            jitter = tol * 1e-2 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            phase = np.exp(2j * np.pi * rng.uniform())
+            points.append(((a + jitter[0]) * phase, (b + jitter[1]) * phase))
+    points += [(1.0, 0.0), (0.0, 1.0)]  # the exact poles as well
+    rng.shuffle(points)
+    _assert_same_clusters(points)
+    clusters = linalg._cluster_roots(points, tol)
+    assert len(clusters) == len(centers)
+    assert sum(k for _, k in clusters) == len(points)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhmkit import serialize
-from adhmkit.errors import ParseError
-from adhmkit.geometry import TotPoint, YTildePoint, tot_point, ytilde_point
-from adhmkit.hirz import ChartCoords, HirzADHM, chart_set, to_chart
+from adhmkit.errors import ADHMKitError, ParseError
+from adhmkit.geometry import TotPoint, YTildePoint, chart_support, tot_point, ytilde_point
+from adhmkit.hirz import ChartCoords, HirzADHM, canonicalize, chart_set, to_chart, validate_hirz
 from adhmkit.plane import PlaneADHM, plane_adhm
 from adhmkit.propsuite import GenConfig, gen_hirz_valid, gen_plane_valid
 from adhmkit.serialize import decode, dumps, encode, load_path, loads
@@ -275,3 +275,126 @@ def test_golden_bytes_roundtrip(golden):
     # the encoder's output bytes are part of the golden contract
     path = GOLDEN / golden
     assert dumps(load_path(str(path))) + "\n" == path.read_text()
+
+
+def _text_or_error(fn, x):
+    try:
+        return ("text", fn(x))
+    except (ValueError, TypeError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _oracle(x):
+    return _text_or_error(lambda y: json.dumps(y, indent=2, allow_nan=False), x)
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1 / 3, 1e300, 2.0**53]
+BLOCK_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(SPECIAL_FLOATS))
+NONFINITE = [float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float64("-inf")]
+# each defect puts a block off the one-pass path, or makes it an error
+BLOCK_DEFECTS = {
+    "int": lambda x: 7,
+    "big_int": lambda x: -2**80,
+    "bool": lambda x: x > 0,
+    "np_float64": np.float64,
+    "nan": lambda x: float("nan"),
+    "inf": lambda x: float("inf"),
+    "-inf": lambda x: float("-inf"),
+    "none": lambda x: None,
+    "string": lambda x: "1.5",
+}
+
+
+@st.composite
+def float_blocks(draw):
+    """A regular nested list block of floats, sometimes spoiled at one place."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    size = int(np.prod(shape))
+    flat = draw(st.lists(BLOCK_FLOATS, min_size=size, max_size=size))
+    defect = draw(st.sampled_from(["clean"] * 4 + sorted(BLOCK_DEFECTS) + ["ragged", "tuple", "empty"]))
+    pos = draw(st.integers(0, size - 1))
+    if defect in BLOCK_DEFECTS:
+        flat[pos] = BLOCK_DEFECTS[defect](flat[pos])
+    block = np.array(flat, dtype=object).reshape(shape).tolist()
+    if defect in ("ragged", "tuple", "empty"):
+        depth = draw(st.integers(0, len(shape) - 1))
+        idx = np.unravel_index(pos, shape)[:depth]
+        parent = block
+        for i in idx[:-1]:
+            parent = parent[i]
+        target = parent[idx[-1]] if idx else parent
+        if defect == "ragged":
+            target.pop()
+        elif idx:
+            parent[idx[-1]] = tuple(target) if defect == "tuple" else []
+        else:
+            block = tuple(block) if defect == "tuple" else []
+    return block
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**100, 2**100),
+    st.floats(), st.sampled_from(SPECIAL_FLOATS + NONFINITE),
+    st.floats(allow_nan=False).map(np.float64),
+    st.text(), st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\t\n", "caf\u00e9",
+                                "\u2028\U0001f600", "\x7f"]),
+)
+KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+UNSUPPORTED = st.sampled_from([object(), np.int64(3), np.bool_(True), 1 + 2j, {1, 2}, b"bytes"])
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                                st.dictionaries(KEYS, inner, max_size=4)),
+        max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(json_trees(st.one_of(JSON_SCALARS, float_blocks())), max_size=4),
+                 st.dictionaries(st.text(), json_trees(st.one_of(JSON_SCALARS, float_blocks())),
+                                 max_size=4)))
+def test_dumps_writes_the_stdlib_text(data):
+    assert _text_or_error(dumps, data) == _oracle(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_blocks(), st.integers(0, 3))
+def test_dumps_float_block_at_any_depth(block, level):
+    data = block
+    for _ in range(level):
+        data = {"k": [data]}
+    if isinstance(data, tuple):
+        data = [data]
+    assert _text_or_error(dumps, data) == _oracle(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(json_trees(st.one_of(JSON_SCALARS, UNSUPPORTED)), min_size=1, max_size=3),
+       st.dictionaries(st.one_of(KEYS, st.sampled_from([(1, 2), frozenset()])),
+                       st.none(), max_size=3))
+def test_dumps_errors_match_the_stdlib(items, keyed):
+    for data in (items, keyed, [keyed, items]):
+        assert _text_or_error(dumps, data) == _oracle(data)
+
+
+def test_dumps_pipeline_payload_matches_the_stdlib():
+    # the shape of one decision-pipeline answer: report, support, canonical point
+    d = gen_hirz_valid(GenConfig(seed=85, n=8, c=32))
+    report = validate_hirz(d)
+    sup = chart_support(d, report.chart_set[0])
+    m, pairs = sup.chart_pairs
+    out = {"report": report.to_json(),
+           "support": {"base": [dict(encode(pt), multiplicity=k) for pt, k in sup.base],
+                       "chart": {"m": m, "pairs": [[[b.real, b.imag], [e.real, e.imag]]
+                                                   for b, e in pairs]}}}
+    try:
+        point, chart = canonicalize(d)
+        out["canonical"] = {"chart": chart, "point": encode(point)}
+    except ADHMKitError as exc:
+        out["canonical"] = {"error": type(exc).__name__, "detail": str(exc)}
+    assert report.passed
+    assert dumps(out) == json.dumps(out, indent=2, allow_nan=False)
+    assert dumps(d) == json.dumps(encode(d), indent=2, allow_nan=False)

@@ -168,8 +168,8 @@ def spectrum_vs_pencil_check(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT
     this compares B's spectrum with itself through the chart-angle map and
     its inverse, true by construction; only other charts compare two
     independent routes.  The independent witness that the roots are zeros
-    of det(lam2 A1 + lam1 A2) is
-    tests/test_geometry.py::test_base_roots_are_zeros_of_the_pencil_determinant.
+    of det(lam2 A1 + lam1 A2) is the propsuite property geom_spectrum_pencil
+    and tests/test_geometry.py::test_base_roots_are_zeros_of_the_pencil_determinant.
     """
     support = base_support(d, tol)
     cc = to_chart(d, m, tol)

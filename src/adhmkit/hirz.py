@@ -238,17 +238,16 @@ def _costability_at(d: HirzADHM, m: int, tol: ToleranceConfig) -> Check:
 def validate_p3(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Co-stability via the smallest available chart.
 
-    Requires the intertwining and nondegeneracy conditions; forms the chart
-    triple (B, E, e) there and returns its co-stability verdict, the same
-    single step validate_hirz takes after its own P1 and P2 checks.
+    Requires the intertwining and nondegeneracy conditions; returns the
+    co-stability verdict of the chart triple (B, E, e) there, read off
+    validate_hirz's memoized report.
     """
-    if not validate_p1(d, tol).passed:
+    full = validate_hirz(d, tol)
+    if not all(chk.passed for chk in full.checks if chk.name.startswith("intertwine")):
         raise InvalidPointError("validate_p3: intertwining relations fail")
-    p2 = validate_p2(d, tol)
-    if not p2.chart_set:
+    if not full.chart_set:
         raise InvalidPointError("validate_p3: empty chart set (pencil degenerate)")
-    return ValidationReport(checks=(_costability_at(d, p2.chart_set[0], tol),),
-                            chart_set=p2.chart_set)
+    return ValidationReport(checks=(full.check("costability"),), chart_set=full.chart_set)
 
 
 def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:

@@ -119,22 +119,37 @@ def _parse_matrix(v, rows, cols, path):
     return np.array([_parse_row(r, cols, f"{path}[{i}]") for i, r in enumerate(v)])
 
 
+def _regular(v):
+    """(shape, leaves, leaf types) when ``v`` is a regular block of nested lists, else None.
+
+    One pass per nesting level: while every item is exactly a list, all of
+    them must share one non-zero length, the next entry of ``shape``.  The
+    first level whose items are not all lists is returned flat as
+    ``leaves`` with the set of their exact types, for callers to check.
+    """
+    items, shape = [v], ()
+    while (types := set(map(type, items))) == {list}:
+        sizes = set(map(len, items))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape += (sizes.pop(),)
+        items = list(chain.from_iterable(items))
+    return shape, items, types
+
+
 def _fast_block(v, shape):
     """The complex array of ``shape`` that ``v`` holds, or None to defer to the walk.
 
-    One pass per nesting level checks that every container is exactly a list
-    of the declared length and every scalar exactly an int or float; numpy
-    then converts them all at once.  This accepts a subset of what the walk
-    accepts and builds the same bits (the sign of -0.0 included), so any
-    input it declines, valid or not, is judged by the walk alone.
+    ``v`` must be a regular block of the declared shape plus a trailing
+    ``(2,)``, every scalar exactly an int or float; numpy then converts
+    them all at once.  This accepts a subset of what the walk accepts and
+    builds the same bits (the sign of -0.0 included), so any input it
+    declines, valid or not, is judged by the walk alone.
     """
-    items = [v]
-    for size in shape + (2,):
-        if set(map(type, items)) != {list} or set(map(len, items)) != {size}:
-            return None
-        items = list(chain.from_iterable(items))
-    if not set(map(type, items)) <= {int, float}:
+    block = _regular(v)
+    if block is None or block[0] != shape + (2,) or not block[2] <= {int, float}:
         return None
+    items = block[1]
     try:
         f = np.array(items, dtype=float)
     except OverflowError:  # an int beyond float range: the walk raises it
@@ -236,23 +251,6 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _float_block(v):
-    """(shape, flat values) when the list ``v`` is a regular block of floats, else None.
-
-    The same per-level check as ``_fast_block``: every container exactly a
-    non-empty list of one length, every leaf exactly a ``float``.  A bool, an
-    int or any other leaf type leaves the block to the item-by-item walk.
-    """
-    items, shape = [v], []
-    while set(map(type, items)) == {list}:
-        sizes = set(map(len, items))
-        if len(sizes) != 1 or 0 in sizes:
-            return None
-        shape.append(sizes.pop())
-        items = list(chain.from_iterable(items))
-    return (shape, items) if set(map(type, items)) == {float} else None
-
-
 def _block_seps(shape, level) -> list:
     """The strings around the values of a block whose "[" sits on indent ``level``.
 
@@ -298,9 +296,9 @@ def _emit(o, level) -> str:
     if isinstance(o, float):
         return _float_text(o)
     if isinstance(o, (list, tuple)):
-        block = _float_block(o)
-        if block is not None:
-            return _block_text(*block, level)
+        block = _regular(o)
+        if block is not None and block[2] == {float}:
+            return _block_text(block[0], block[1], level)
         return _join("[", [_emit(v, level + 1) for v in o], "]", level)
     if isinstance(o, dict):
         parts = [encode_basestring_ascii(_key_text(k)) + ": " + _emit(v, level + 1)

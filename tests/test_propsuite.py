@@ -4,9 +4,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import adhmkit.geometry as geom_mod
 import adhmkit.hirz as hirz_mod
 from adhmkit.errors import DomainError
 from adhmkit.hirz import validate_hirz
+from adhmkit.linalg import proj_point
 from adhmkit.plane import validate_plane
 from adhmkit.propsuite import (
     PROPERTIES,
@@ -112,3 +114,49 @@ def test_failure_records_are_capped():
                         name_filter="hirz_glue_triangle")
     (result,) = rep.results
     assert len(result.failures) <= 10 < result.cases
+    s = 416335653  # 5 * 1_000_003 + (crc32(name) & 0xFFFF) * 8191
+    assert [(f["case"], f["n"], f["c"], f["seed"]) for f in result.failures] == [
+        (0, 1, 1, s), (0, 1, 1, s),
+        (1, 1, 2, s + 1), (1, 1, 2, s + 1), (1, 1, 2, s + 1),
+        (2, 1, 3, s + 2), (2, 1, 3, s + 2), (2, 1, 3, s + 2), (2, 1, 3, s + 2),
+        (3, 2, 1, s + 3),
+    ]
+
+
+def _counts(rep):
+    return {r.name: r.cases for r in rep.results}
+
+
+def test_case_counts_are_pinned():
+    # every property walks `samples` cases of its stream, except those that
+    # start at n = 2 and the Jacobian, which only counts cells n <= 3, c <= 3
+    rep = run_suite(seed=5, max_n=4, max_c=4, samples=20)
+    assert _counts(rep) == {name: 12 if name == "hirz_jacobian_dimension" else 20
+                            for name in PROPERTIES}
+    from_n2 = {"hirz_p1_negative_detection", "hirz_syst_rank"}
+    rep = run_suite(seed=5, max_n=1, max_c=4, samples=20)
+    assert _counts(rep) == {name: 0 if name in from_n2
+                            else 15 if name == "hirz_jacobian_dimension" else 20
+                            for name in PROPERTIES}
+
+
+def test_spectrum_pencil_property_sees_a_swapped_root_convention():
+    # base roots read with [lam1 : lam2] swapped, and pushed into a chart
+    # with the same swap: the spectrum comparison stays green at every
+    # chart, but the roots are no longer zeros of det(lam2 A1 + lam1 A2)
+    real_roots = geom_mod._chart_base_roots
+    real_fibre = geom_mod._root_to_fibre_coordinate
+
+    def swapped_roots(cc, tol):
+        return tuple((proj_point(pt.lam2, pt.lam1), mult) for pt, mult in real_roots(cc, tol))
+
+    def swapped_fibre(pt, ap):
+        return real_fibre(proj_point(pt.lam2, pt.lam1), ap)
+
+    with mock.patch.object(geom_mod, "_chart_base_roots", swapped_roots), \
+         mock.patch.object(geom_mod, "_root_to_fibre_coordinate", swapped_fibre):
+        rep = run_suite(seed=5, max_n=2, max_c=3, samples=12,
+                        name_filter="geom_spectrum_pencil")
+    (result,) = rep.results
+    assert result.failures
+    assert all("pencil determinant" in f["detail"] for f in result.failures)

@@ -9,6 +9,13 @@ stdout or ``--out``, and communicates its verdict through the exit code:
 
 Tolerances resolve in order: built-in defaults, then the ``ADHMKIT_TOL``
 environment variable (``rank=1e-9,eq=1e-8,root=1e-6``), then flags.
+
+A subcommand is a function ``(args, tol, *inputs) -> (payload, exit code)``
+that maps decoded inputs to a JSON payload; it neither reads files nor
+prints.  ``build_parser`` declares each input file by its kind (or ``None``
+for any kind), and ``main`` owns everything around the call: tolerances,
+reading every input, kind checks, writing the payload to stdout or
+``--out``, and turning errors into ``{"error": kind, ...}`` on stdout.
 """
 
 from __future__ import annotations
@@ -37,11 +44,10 @@ _TOL_KEYS = {"rank": "rank_rel_tol", "eq": "eq_rel_tol", "root": "root_cluster_t
 
 
 class _CliError(Exception):
-    def __init__(self, kind, detail, path=None):
+    def __init__(self, kind, detail):
         super().__init__(detail)
         self.kind = kind
         self.detail = detail
-        self.path = path
 
 
 def _emit(payload, out_path):
@@ -62,7 +68,6 @@ def _read(path):
 def _expect(obj, kind_cls, what):
     if not isinstance(obj, kind_cls):
         raise _CliError("kind", f"expected {what} input, got {type(obj).__name__}")
-    return obj
 
 
 def _resolve_tol(args):
@@ -103,91 +108,67 @@ def _report_exit(report):
     return 0
 
 
-def _cmd_validate(args, tol):
-    d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
+_POINT = (hirz.HirzADHM, "surface point")
+_PLANE = (plane.PlaneADHM, "plane triple")
+_CHART = (hirz.ChartCoords, "chart coordinates")
+_YTILDE = (geometry.YTildePoint, "hypersurface point")
+
+
+def _cmd_validate(args, tol, d):
+    report = hirz.validate_hirz(d, tol)
     if args.p3_method == "direct":
-        reports = [hirz.validate_p1(d, tol), hirz.validate_p2(d, tol)]
-    else:
-        reports = [hirz.validate_hirz(d, tol)]
+        report = dataclasses.replace(
+            report, checks=tuple(c for c in report.checks if c.name != "costability"))
     if args.p3_method in ("direct", "both"):
-        try:
-            reports.append(hirz.validate_p3_direct(d, tol))
-        except InvalidPointError as exc:
-            raise _CliError("invalid_point", str(exc)) from exc
-    report = merge(*reports)
-    _emit(report.to_json(), args.out)
-    return _report_exit(report)
+        report = merge(report, hirz.validate_p3_direct(d, tol))
+    return report.to_json(), _report_exit(report)
 
 
-def _cmd_validate_plane(args, tol):
-    d = _expect(_read(args.path), plane.PlaneADHM, "plane triple")
+def _cmd_validate_plane(args, tol, d):
     report = plane.validate_plane(d, tol)
-    _emit(report.to_json(), args.out)
-    return _report_exit(report)
+    return report.to_json(), _report_exit(report)
 
 
-def _cmd_chart_set(args, tol):
-    d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
+def _cmd_chart_set(args, tol, d):
     report = hirz.validate_p2(d, tol)
-    charts = list(report.chart_set or ())
-    _emit({"charts": charts}, args.out)
-    return _report_exit(report)
+    return {"charts": list(report.chart_set or ())}, _report_exit(report)
 
 
-def _cmd_to_chart(args, tol):
-    d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
-    cc = hirz.to_chart(d, args.m, tol)
-    _emit(serialize.encode(cc), args.out)
-    return 0
+def _cmd_to_chart(args, tol, d):
+    return serialize.encode(hirz.to_chart(d, args.m, tol)), 0
 
 
-def _cmd_from_chart(args, tol):
-    cc = _expect(_read(args.path), hirz.ChartCoords, "chart coordinates")
-    d = hirz.from_chart(cc.m, hirz.plane_part(cc), cc.A2m, cc.n, tol)
-    _emit(serialize.encode(d), args.out)
-    return 0
+def _cmd_from_chart(args, tol, cc):
+    return serialize.encode(hirz.from_chart(cc.m, hirz.plane_part(cc), cc.A2m, cc.n, tol)), 0
 
 
-def _cmd_transition(args, tol):
-    cc = _expect(_read(args.path), hirz.ChartCoords, "chart coordinates")
-    moved = hirz.transition_omega(cc, args.l, tol)
-    _emit(serialize.encode(moved), args.out)
-    return 0
+def _cmd_transition(args, tol, cc):
+    return serialize.encode(hirz.transition_omega(cc, args.l, tol)), 0
 
 
-def _cmd_transition_plane(args, tol):
-    d = _expect(_read(args.path), plane.PlaneADHM, "plane triple")
+def _cmd_transition_plane(args, tol, d):
     moved = plane.transition_plane(d, args.m, args.l, args.n, args.cbase, tol)
-    _emit(serialize.encode(moved), args.out)
-    return 0
+    return serialize.encode(moved), 0
 
 
-def _cmd_canonical(args, tol):
-    obj = _read(args.path)
+def _cmd_canonical(args, tol, obj):
     if isinstance(obj, plane.PlaneADHM):
         can, gauge = plane.canonical_form(obj, tol)
-        _emit({"point": serialize.encode(can),
-               "gauge": serialize._pairs(gauge)},
-              args.out)
-        return 0
+        return {"point": serialize.encode(can), "gauge": serialize._pairs(gauge)}, 0
     if isinstance(obj, hirz.HirzADHM):
         can, m = hirz.canonicalize(obj, tol)
-        _emit({"chart": m, "point": serialize.encode(can)}, args.out)
-        return 0
+        return {"chart": m, "point": serialize.encode(can)}, 0
     raise _CliError("kind", f"expected a plane triple or surface point, got {type(obj).__name__}")
 
 
-def _cmd_orbit_equal(args, tol):
-    a = _read(args.path)
-    b = _read(args.path2)
+def _cmd_orbit_equal(args, tol, a, b):
     if isinstance(a, plane.PlaneADHM) and isinstance(b, plane.PlaneADHM):
         equal = plane.orbit_equal_plane(a, b, tol)
     elif isinstance(a, hirz.HirzADHM) and isinstance(b, hirz.HirzADHM):
         equal = hirz.orbit_equal(a, b, tol)
     else:
         raise _CliError("kind", "both inputs must be plane triples or both surface points")
-    _emit({"equal": bool(equal)}, args.out)
-    return 0 if equal else 1
+    return {"equal": bool(equal)}, 0 if equal else 1
 
 
 def _support_json(sup):
@@ -199,76 +180,54 @@ def _support_json(sup):
     return out
 
 
-def _cmd_support(args, tol):
-    d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
+def _cmd_support(args, tol, d):
     if args.m is None:
-        sup = geometry.base_support(d, tol)
-    else:
-        sup = geometry.chart_support(d, args.m, tol)
-    _emit(_support_json(sup), args.out)
-    return 0
+        return _support_json(geometry.base_support(d, tol)), 0
+    return _support_json(geometry.chart_support(d, args.m, tol)), 0
 
 
-def _cmd_hilbert_chow(args, tol):
-    d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
+def _cmd_hilbert_chow(args, tol, d):
     sup = geometry.base_support(d, tol)
     form = geometry.pencil_form(d.A2, d.A1)
     coeffs = np.asarray(form.coeffs)
     lead = coeffs[np.argmax(np.abs(coeffs))]
-    normalized = coeffs / lead
-    _emit({"degree": form.degree,
-           "form": serialize._pairs(normalized),
-           "cycle": _support_json(sup)["base"]},
-          args.out)
-    return 0
+    return {"degree": form.degree,
+            "form": serialize._pairs(coeffs / lead),
+            "cycle": _support_json(sup)["base"]}, 0
 
 
 def _cmd_sigma(args, tol):
     sg = sigma_matrix(args.h, args.m, args.cbase)
-    _emit({"h": sg.h, "m": sg.m, "cbase": sg.c_base,
-           "entries": [[float(v) for v in row] for row in sg.entries]},
-          args.out)
-    return 0
+    return {"h": sg.h, "m": sg.m, "cbase": sg.c_base,
+            "entries": [[float(v) for v in row] for row in sg.entries]}, 0
 
 
-def _cmd_syst_rank(args, tol):
-    d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
+def _cmd_syst_rank(args, tol, d):
     rank = hirz.syst_rank(d.A1, d.A2, d.n, tol)
     expected = (d.n - 1) * d.c * d.c
-    _emit({"rank": rank, "expected": expected}, args.out)
-    return 0 if rank == expected else 1
+    return {"rank": rank, "expected": expected}, 0 if rank == expected else 1
 
 
-def _cmd_jacobian_dim(args, tol):
-    d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
+def _cmd_jacobian_dim(args, tol, d):
     nullity = hirz.jacobian_nullity(d, tol)
     expected = 2 * d.c * d.c + 2 * d.c
-    _emit({"nullity": nullity, "expected": expected,
-           "orbit_dim": nullity - 2 * d.c * d.c if nullity >= 2 * d.c * d.c else None},
-          args.out)
-    return 0 if nullity == expected else 1
+    return ({"nullity": nullity, "expected": expected,
+             "orbit_dim": nullity - 2 * d.c * d.c if nullity >= 2 * d.c * d.c else None},
+            0 if nullity == expected else 1)
 
 
-def _cmd_c1_from_ytilde(args, tol):
-    p = _expect(_read(args.path), geometry.YTildePoint, "hypersurface point")
-    checked = geometry.ytilde_point(p.y1, p.y2, p.x1, p.x2, args.n)
-    d = geometry.ytilde_to_p1(checked, args.n, tol)
-    _emit(serialize.encode(d), args.out)
-    return 0
+def _cmd_c1_from_ytilde(args, tol, p):
+    return serialize.encode(geometry.ytilde_to_p1(p, args.n, tol)), 0
 
 
-def _cmd_c1_to_tot(args, tol):
-    d = _expect(_read(args.path), hirz.HirzADHM, "surface point")
-    t = geometry.p1_to_tot(d, tol)
-    _emit(serialize.encode(t), args.out)
-    return 0
+def _cmd_c1_to_tot(args, tol, d):
+    return serialize.encode(geometry.p1_to_tot(d, tol)), 0
 
 
 def _cmd_property_run(args, tol):
     report = propsuite.run_suite(seed=args.seed, max_n=args.max_n, max_c=args.max_c,
                                  samples=args.samples, name_filter=args.filter, tol=tol)
-    _emit(report.to_json(), args.out)
-    return 0 if report.passed else 1
+    return report.to_json(), 0 if report.passed else 1
 
 
 def _add_tol_flags(p):
@@ -281,6 +240,9 @@ def _add_tol_flags(p):
     p.add_argument("--out", default=None, help="write JSON output to this file")
 
 
+_PATHS = ("path", "path2")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="adhmkit",
@@ -288,78 +250,53 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, help_text, **kw):
-        p = sub.add_parser(name, help=help_text, **kw)
-        p.set_defaults(fn=fn)
+    def cmd(name, fn, help_text, *inputs):
+        """Subcommand reading one file per input: a (class, what) kind, or None for any."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn, inputs=inputs)
         _add_tol_flags(p)
+        for dest in _PATHS[:len(inputs)]:
+            p.add_argument(dest)
         return p
 
-    p = cmd("validate", _cmd_validate, "check all defining conditions of a surface point")
-    p.add_argument("path")
+    p = cmd("validate", _cmd_validate, "check all defining conditions of a surface point", _POINT)
     p.add_argument("--p3-method", choices=("chart", "direct", "both"), default="chart",
                    help="how to test co-stability")
-
-    p = cmd("validate-plane", _cmd_validate_plane, "check a commuting plane triple")
-    p.add_argument("path")
-
-    p = cmd("chart-set", _cmd_chart_set, "list chart indices where the point is visible")
-    p.add_argument("path")
-
-    p = cmd("to-chart", _cmd_to_chart, "convert a surface point to chart coordinates")
-    p.add_argument("path")
+    cmd("validate-plane", _cmd_validate_plane, "check a commuting plane triple", _PLANE)
+    cmd("chart-set", _cmd_chart_set, "list chart indices where the point is visible", _POINT)
+    p = cmd("to-chart", _cmd_to_chart, "convert a surface point to chart coordinates", _POINT)
     p.add_argument("--m", type=int, required=True)
-
-    p = cmd("from-chart", _cmd_from_chart, "assemble a surface point from chart coordinates")
-    p.add_argument("path")
-
-    p = cmd("transition", _cmd_transition, "move chart coordinates to another chart")
-    p.add_argument("path")
+    cmd("from-chart", _cmd_from_chart, "assemble a surface point from chart coordinates", _CHART)
+    p = cmd("transition", _cmd_transition, "move chart coordinates to another chart", _CHART)
     p.add_argument("--l", type=int, required=True)
 
     p = cmd("transition-plane", _cmd_transition_plane,
-            "apply the raw overlap map to a plane triple")
-    p.add_argument("path")
+            "apply the raw overlap map to a plane triple", _PLANE)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cbase", type=int, required=True)
 
-    p = cmd("canonical", _cmd_canonical, "canonical orbit representative")
-    p.add_argument("path")
-
-    p = cmd("orbit-equal", _cmd_orbit_equal, "decide whether two inputs share an orbit")
-    p.add_argument("path")
-    p.add_argument("path2")
-
-    p = cmd("support", _cmd_support, "supporting cycle on the base curve")
-    p.add_argument("path")
+    cmd("canonical", _cmd_canonical, "canonical orbit representative", None)
+    cmd("orbit-equal", _cmd_orbit_equal, "decide whether two inputs share an orbit", None, None)
+    p = cmd("support", _cmd_support, "supporting cycle on the base curve", _POINT)
     p.add_argument("--m", type=int, default=None,
                    help="also report fibre coordinates in this chart")
-
-    p = cmd("hilbert-chow", _cmd_hilbert_chow,
-            "degree-c form and cycle of the configuration's image on the base")
-    p.add_argument("path")
+    cmd("hilbert-chow", _cmd_hilbert_chow,
+        "degree-c form and cycle of the configuration's image on the base", _POINT)
 
     p = cmd("sigma", _cmd_sigma, "change-of-weight matrix between chart frames")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cbase", type=int, required=True)
 
-    p = cmd("syst-rank", _cmd_syst_rank, "rank of the stacked intertwining system")
-    p.add_argument("path")
-
-    p = cmd("jacobian-dim", _cmd_jacobian_dim,
-            "numeric tangent dimension of the defining equations at a point")
-    p.add_argument("path")
-
+    cmd("syst-rank", _cmd_syst_rank, "rank of the stacked intertwining system", _POINT)
+    cmd("jacobian-dim", _cmd_jacobian_dim,
+        "numeric tangent dimension of the defining equations at a point", _POINT)
     p = cmd("c1-from-ytilde", _cmd_c1_from_ytilde,
-            "lift a single hypersurface point to matrix data (c = 1)")
-    p.add_argument("path")
+            "lift a single hypersurface point to matrix data (c = 1)", _YTILDE)
     p.add_argument("--n", type=int, required=True)
-
-    p = cmd("c1-to-tot", _cmd_c1_to_tot,
-            "push a c = 1 point to total-space coordinates")
-    p.add_argument("path")
+    cmd("c1-to-tot", _cmd_c1_to_tot, "push a c = 1 point to total-space coordinates", _POINT)
 
     p = cmd("property-run", _cmd_property_run, "run the randomized property suite")
     p.add_argument("--seed", type=int, default=2026)
@@ -380,12 +317,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         tol = _resolve_tol(args)
-        return args.fn(args, tol)
+        inputs = [_read(getattr(args, dest)) for dest in _PATHS[:len(args.inputs)]]
+        for obj, kind in zip(inputs, args.inputs):
+            if kind is not None:
+                _expect(obj, *kind)
+        payload, code = args.fn(args, tol, *inputs)
+        _emit(payload, args.out)
+        return code
     except ParseError as exc:
         _emit({"error": "parse", "path": exc.path, "detail": exc.detail}, None)
         return 2
     except _CliError as exc:
-        _emit({"error": exc.kind, "path": exc.path, "detail": exc.detail}, None)
+        _emit({"error": exc.kind, "path": None, "detail": exc.detail}, None)
         return 2
     except (ShapeError, DomainError, InvalidPointError, IndeterminateError) as exc:
         kind = {

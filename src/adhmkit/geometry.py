@@ -74,35 +74,32 @@ class YTildePoint:
     x2: complex
 
 
-def tot_point(y1, y2, u1, u2, n: int) -> TotPoint:
-    """Point of the total space model; checks u1 y1^n = u2 y2^n."""
-    y1, y2, u1, u2 = complex(y1), complex(y2), complex(u1), complex(u2)
+def _c1_point(who, n, y1, y2, a1, a2, k, relation):
+    """Checks shared by the c = 1 models: n >= 1, (y1, y2) != 0, a1 y1^k = a2 y2^k."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"{who}: n must be a positive integer, got {n!r}")
     if y1 == 0 and y2 == 0:
-        raise InvalidPointError("tot_point: (y1, y2) must not both vanish")
-    lhs = u1 * y1**n
-    rhs = u2 * y2**n
+        raise InvalidPointError(f"{who}: (y1, y2) must not both vanish")
+    lhs = a1 * y1**k
+    rhs = a2 * y2**k
     scale = max(abs(lhs), abs(rhs), 1e-30)
     if abs(lhs - rhs) > _C1_REL_TOL * scale:
         raise InvalidPointError(
-            f"tot_point: relation u1 y1^{n} = u2 y2^{n} violated "
-            f"(relative error {abs(lhs - rhs) / scale:.3e})"
+            f"{who}: relation {relation} violated (relative error {abs(lhs - rhs) / scale:.3e})"
         )
+
+
+def tot_point(y1, y2, u1, u2, n: int) -> TotPoint:
+    """Point of the total space model; checks u1 y1^n = u2 y2^n."""
+    y1, y2, u1, u2 = complex(y1), complex(y2), complex(u1), complex(u2)
+    _c1_point("tot_point", n, y1, y2, u1, u2, n, f"u1 y1^{n} = u2 y2^{n}")
     return TotPoint(y1, y2, u1, u2)
 
 
 def ytilde_point(y1, y2, x1, x2, n: int) -> YTildePoint:
     """Point of the hypersurface model; checks x1 y1^(n-1) = x2 y2^(n-1)."""
     y1, y2, x1, x2 = complex(y1), complex(y2), complex(x1), complex(x2)
-    if y1 == 0 and y2 == 0:
-        raise InvalidPointError("ytilde_point: (y1, y2) must not both vanish")
-    lhs = x1 * y1 ** (n - 1)
-    rhs = x2 * y2 ** (n - 1)
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    if abs(lhs - rhs) > _C1_REL_TOL * scale:
-        raise InvalidPointError(
-            f"ytilde_point: relation x1 y1^{n - 1} = x2 y2^{n - 1} violated "
-            f"(relative error {abs(lhs - rhs) / scale:.3e})"
-        )
+    _c1_point("ytilde_point", n, y1, y2, x1, x2, n - 1, f"x1 y1^{n - 1} = x2 y2^{n - 1}")
     return YTildePoint(y1, y2, x1, x2)
 
 

@@ -235,6 +235,16 @@ def _costability_at(d: HirzADHM, m: int, tol: ToleranceConfig) -> Check:
     )
 
 
+def _p3_ready(d: HirzADHM, tol: ToleranceConfig, who: str) -> ValidationReport:
+    """validate_hirz's memoized report, once P1 passes and the chart set is non-empty."""
+    full = validate_hirz(d, tol)
+    if not all(chk.passed for chk in full.checks if chk.name.startswith("intertwine")):
+        raise InvalidPointError(f"{who}: intertwining relations fail")
+    if not full.chart_set:
+        raise InvalidPointError(f"{who}: empty chart set (pencil degenerate)")
+    return full
+
+
 def validate_p3(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Co-stability via the smallest available chart.
 
@@ -242,11 +252,7 @@ def validate_p3(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
     co-stability verdict of the chart triple (B, E, e) there, read off
     validate_hirz's memoized report.
     """
-    full = validate_hirz(d, tol)
-    if not all(chk.passed for chk in full.checks if chk.name.startswith("intertwine")):
-        raise InvalidPointError("validate_p3: intertwining relations fail")
-    if not full.chart_set:
-        raise InvalidPointError("validate_p3: empty chart set (pencil degenerate)")
+    full = _p3_ready(d, tol, "validate_p3")
     return ValidationReport(checks=(full.check("costability"),), chart_set=full.chart_set)
 
 
@@ -258,11 +264,10 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
     a joint eigenvector C1 A2 v = a v and C_n A1 v = b v, and the weights
     satisfy lam1^n a = (-1)^n lam2^n b.  Roots with higher-dimensional
     kernels yield an indeterminate verdict (use the chart method there).
+    The P1 and chart-set guard reads validate_hirz's memoized report; the
+    verdict itself never reads the chart-route co-stability check.
     """
-    if not validate_p1(d, tol).passed:
-        raise InvalidPointError("validate_p3_direct: intertwining relations fail")
-    if not validate_p2(d, tol).chart_set:
-        raise InvalidPointError("validate_p3_direct: empty chart set (pencil degenerate)")
+    _p3_ready(d, tol, "validate_p3_direct")
     from .geometry import pencil_form  # deferred to avoid a module cycle
     from .linalg import binary_form_roots
 

@@ -283,3 +283,99 @@ def test_out_flag_writes_file_not_stdout(capsys, tmp_path):
     assert code == 0
     assert out.strip() == ""
     assert json.loads(target.read_text())["passed"] is True
+
+
+# every subcommand that reads files: (argv after the command, its inputs, inputs of a wrong kind)
+FILE_COMMANDS = [
+    ("validate", [], ["hirz_valid_n2c2.json"], ["plane_valid_c2.json"]),
+    ("validate-plane", [], ["plane_valid_c2.json"], ["hirz_valid_n2c2.json"]),
+    ("chart-set", [], ["hirz_valid_n2c2.json"], ["chart_n2c2.json"]),
+    ("to-chart", ["--m", "0"], ["hirz_valid_n2c2.json"], ["plane_valid_c2.json"]),
+    ("from-chart", [], ["chart_n2c2.json"], ["hirz_valid_n2c2.json"]),
+    ("transition", ["--l", "0"], ["chart_n2c2.json"], ["plane_valid_c2.json"]),
+    ("transition-plane", ["--m", "1", "--l", "0", "--n", "1", "--cbase", "1"],
+     ["plane_valid_c2.json"], ["chart_n2c2.json"]),
+    ("canonical", [], ["hirz_valid_n2c2.json"], ["chart_n2c2.json"]),
+    ("orbit-equal", [], ["hirz_valid_n2c2.json", "hirz_valid_n2c2_gauged.json"],
+     ["hirz_valid_n2c2.json", "plane_valid_c2.json"]),
+    ("support", ["--m", "0"], ["hirz_valid_n2c2.json"], ["ytilde_n2.json"]),
+    ("hilbert-chow", [], ["hirz_valid_n2c2.json"], ["plane_valid_c2.json"]),
+    ("syst-rank", [], ["hirz_valid_n2c2.json"], ["chart_n2c2.json"]),
+    ("jacobian-dim", [], ["hirz_valid_n2c2.json"], ["plane_valid_c2.json"]),
+    ("c1-from-ytilde", ["--n", "2"], ["ytilde_n2.json"], ["hirz_valid_n1c1.json"]),
+    ("c1-to-tot", [], ["hirz_valid_n1c1.json"], ["ytilde_n2.json"]),
+]
+FILE_COMMAND_IDS = [entry[0] for entry in FILE_COMMANDS]
+
+
+@pytest.mark.parametrize("name,opts,inputs,wrong", FILE_COMMANDS, ids=FILE_COMMAND_IDS)
+def test_out_writes_the_stdout_text(capsys, tmp_path, name, opts, inputs, wrong):
+    argv = [name, *map(g, inputs), *opts]
+    code = cli.main(argv)
+    printed = capsys.readouterr().out
+    assert code == 0 and printed.endswith("}\n")
+    target = tmp_path / "out.json"
+    assert cli.main(argv + ["--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == printed
+
+
+@pytest.mark.parametrize("name,opts,inputs,wrong", FILE_COMMANDS, ids=FILE_COMMAND_IDS)
+def test_wrong_kind_is_kind_error(capsys, name, opts, inputs, wrong):
+    code, payload = run(capsys, name, *map(g, wrong), *opts)
+    assert code == 2
+    assert payload["error"] == "kind" and payload["path"] is None
+
+
+@pytest.mark.parametrize("name,opts,inputs,wrong", FILE_COMMANDS, ids=FILE_COMMAND_IDS)
+def test_bad_number_is_parse_error(capsys, tmp_path, name, opts, inputs, wrong):
+    for slot in range(len(inputs)):
+        files = [g(f) for f in inputs]
+        files[slot] = g("malformed_badnum.json")
+        target = tmp_path / "out.json"
+        code, payload = run(capsys, name, *files, *opts, "--out", str(target))
+        assert code == 2
+        assert payload["error"] == "parse" and payload["path"]
+        assert not target.exists()
+
+
+def test_config_error_wins_over_parse_error(capsys):
+    code, payload = run(capsys, "orbit-equal", g("malformed_badnum.json"),
+                        g("plane_valid_c2.json"), "--tol.eq", "-1")
+    assert code == 2 and payload["error"] == "config"
+
+
+def test_orbit_equal_reads_both_inputs_before_kind_checks(capsys):
+    code, payload = run(capsys, "orbit-equal", g("plane_valid_c2.json"),
+                        g("malformed_badnum.json"))
+    assert code == 2 and payload["error"] == "parse"
+
+
+@pytest.mark.parametrize("method", ["chart", "direct", "both"])
+def test_validate_runs_p1_and_p2_once(capsys, monkeypatch, method):
+    from adhmkit import hirz
+
+    calls = {"validate_p1": 0, "validate_p2": 0}
+    for fname in calls:
+        def counted(*a, _inner=getattr(hirz, fname), _name=fname, **kw):
+            calls[_name] += 1
+            return _inner(*a, **kw)
+        monkeypatch.setattr(hirz, fname, counted)
+    code, payload = run(capsys, "validate", g("hirz_valid_n2c2.json"), "--p3-method", method)
+    assert code == 0 and payload["passed"] is True
+    assert calls == {"validate_p1": 1, "validate_p2": 1}
+    names = [c["name"] for c in payload["checks"]]
+    assert ("costability" in names) == (method != "direct")
+    assert ("costability_direct" in names) == (method != "chart")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_c1_from_ytilde_rejects_nonpositive_n(capsys, tmp_path, n):
+    code, payload = run(capsys, "c1-from-ytilde", g("ytilde_n2.json"), "--n", n)
+    assert code == 2 and payload["error"] == "domain"
+    data = json.loads(open(g("ytilde_n2.json")).read())
+    data["y1"] = [0.0, 0.0]
+    path = tmp_path / "y1_zero.json"
+    path.write_text(json.dumps(data))
+    code, payload = run(capsys, "c1-from-ytilde", str(path), "--n", n)
+    assert code == 2 and payload["error"] == "domain"

@@ -199,6 +199,17 @@ def test_point_factories_check_relations():
         ytilde_point(0, 0, 1, 1, 2)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_point_factories_reject_nonpositive_n(n):
+    # with y1 = 0 a negative exponent would divide by zero before any relation check
+    with pytest.raises(DomainError, match="ytilde_point: n must be a positive integer"):
+        ytilde_point(0, 1, 1, 0, n)
+    with pytest.raises(DomainError, match="tot_point: n must be a positive integer"):
+        tot_point(0, 1, 1, 0, n)
+    with pytest.raises(DomainError):
+        ytilde_point(1, 2, 2, 1, n)
+
+
 def test_ytilde_to_p1_branch_two_frozen():
     p = ytilde_point(1, 2, 2, 1, 2)  # |y2| wins
     d = ytilde_to_p1(p, 2)

@@ -71,12 +71,24 @@ from .plane import (
     transition_plane,
     validate_plane,
 )
-from .propsuite import GenConfig, gen_hirz_valid, gen_plane_valid, run_suite
 from .report import Check, ValidationReport, merge
 from .serialize import decode, dumps, encode, load_path, loads
 from .sigma import AnglePair, SigmaMatrix, angle_pair, sigma_matrix
 
 __version__ = "0.1.0"
+
+# served from adhmkit.propsuite on first access, so that importing the
+# package (and every CLI command but property-run) does not load the suite
+_PROPSUITE = ("GenConfig", "gen_hirz_valid", "gen_plane_valid", "run_suite")
+
+
+def __getattr__(name):
+    if name in _PROPSUITE:
+        from . import propsuite
+
+        return getattr(propsuite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ADHMKitError",

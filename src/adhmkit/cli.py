@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import geometry, hirz, plane, propsuite, serialize
+from . import geometry, hirz, plane, serialize
 from .errors import (
     ADHMKitError,
     DomainError,
@@ -225,6 +225,8 @@ def _cmd_c1_to_tot(args, tol, d):
 
 
 def _cmd_property_run(args, tol):
+    from . import propsuite  # loaded only for this command
+
     report = propsuite.run_suite(seed=args.seed, max_n=args.max_n, max_c=args.max_c,
                                  samples=args.samples, name_filter=args.filter, tol=tol)
     return report.to_json(), 0 if report.passed else 1

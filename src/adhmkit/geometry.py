@@ -139,13 +139,15 @@ def _chart_base_roots(cc, tol: ToleranceConfig) -> tuple:
     return _cluster_roots(points, tol.root_cluster_tol)
 
 
+@hirz_mod._memoized
 def base_support(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> SupportMultiset:
     """Roots of det(lam2 A1 + lam1 A2) with multiplicity, for a valid point.
 
     The roots are the eigenvalues of B at the first chart of validate_hirz's
     chart set, carried back through the chart angle and clustered within
     root_cluster_tol.  Roots of the determinant's coefficients drift at
-    large c; pencil_form stays the independent witness.
+    large c; pencil_form stays the independent witness.  The support is
+    memoized on a read-only point, one per tolerance.
     """
     m = _require_valid(d, tol, "base_support").chart_set[0]
     return SupportMultiset(base=_chart_base_roots(to_chart(d, m, tol), tol))
@@ -201,7 +203,7 @@ def um_membership(x, m: int, c_base: int, tol: ToleranceConfig = DEFAULT_TOL) ->
         raise ShapeError(
             f"um_membership: expected {c_base + 1} homogeneous coordinates, got {x.shape[0]}"
         )
-    if not np.all(np.isfinite(x)) or np.all(x == 0):
+    if not np.isfinite(x).all() or np.all(x == 0):
         raise ShapeError("um_membership: coordinates must be finite and not all zero")
     column = sigma_matrix(c_base, m, c_base).entries[:, 0]
     value = complex(column @ x)

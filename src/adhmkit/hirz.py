@@ -19,10 +19,19 @@ sends the tuple to plane-type coordinates
 where D is the binomial contraction of the C_q at angle m.  Since the
 degree-c pencil determinant cannot vanish at all c+1 distinct chart angles
 unless it is identically zero, every nondegenerate point owns a chart.
+
+Every derived value of a point (its P1 and P2 reports, full validation
+report, chart coordinates, canonical form, and geometry.base_support) is a
+pure function of the point and its arguments.  Points built by hirz_adhm
+hold read-only arrays, so those values are memoized on the point, computed
+once per argument tuple and tolerance; a point built from writable arrays
+is recomputed on every call.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -83,8 +92,53 @@ class HirzADHM:
     A2: np.ndarray
     C: tuple
     e: np.ndarray
-    # validate_hirz's reports by tolerance; used only when every array is read-only
-    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # derived values by (function, arguments); used only when every array is read-only
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _frozen(d: HirzADHM) -> bool:
+    """Whether every array of d is read-only, as hirz_adhm builds them."""
+    return not any(a.flags.writeable for a in (d.A1, d.A2, d.e, *d.C))
+
+
+def _memoized(fn):
+    """Memoize fn(d, ...) in d._memo, one entry per argument tuple.
+
+    The key holds every argument after d with its default applied and its
+    exact type, so f(d, m), f(d, m, DEFAULT_TOL) and f(d, m, tol=DEFAULT_TOL)
+    share one entry, while f(d, 1.0) never returns f(d, 1)'s value.  Only
+    returned values are stored, so a call that raised raises again.  Points
+    with writable arrays, unhashable arguments and calls that do not bind
+    to fn's signature go straight to fn.
+    """
+    sig = inspect.signature(fn)
+    defaults = tuple(p.default for p in sig.parameters.values())[1:]
+    required = sum(p is inspect.Parameter.empty for p in defaults)
+
+    @functools.wraps(fn)
+    def memoized(d, *args, **kwargs):
+        if not _frozen(d):
+            return fn(d, *args, **kwargs)
+        if not kwargs and required <= len(args) <= len(defaults):
+            values = args + defaults[len(args):]
+        else:
+            try:
+                bound = sig.bind(d, *args, **kwargs)
+            except TypeError:
+                return fn(d, *args, **kwargs)
+            bound.apply_defaults()
+            values = bound.args[1:]
+        key = (fn, *((type(v), v) for v in values))
+        try:
+            return d._memo[key]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable argument
+            return fn(d, *args, **kwargs)
+        value = d._memo[key] = fn(d, *args, **kwargs)
+        return value
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -149,6 +203,7 @@ def _pencil_at(d: HirzADHM, m: int):
     return a1m, a2m
 
 
+@_memoized
 def validate_p1(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Intertwining relations, one check per matrix equation.
 
@@ -189,6 +244,7 @@ def validate_p1(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
     return ValidationReport(checks=tuple(checks))
 
 
+@_memoized
 def validate_p2(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Pencil nondegeneracy, decided exactly through the chart determinants.
 
@@ -336,6 +392,7 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
     return ValidationReport(checks=(summary,) + tuple(checks))
 
 
+@_memoized
 def validate_hirz(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """All three conditions, each decided once per point and tolerance.
 
@@ -343,15 +400,10 @@ def validate_hirz(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Validation
     at the smallest chart of P2's chart set.  Otherwise co-stability is
     refused.
 
-    Points are immutable values: hirz_adhm stores read-only copies of their
-    arrays.  The report is therefore memoized on the point, one per
-    tolerance, and later calls (base_support, chart_support, canonicalize,
-    p1_to_tot) return it without recomputing.  A point built directly from
-    writable arrays is validated afresh on every call.
+    The report is memoized on a read-only point, one per tolerance, and
+    later calls (base_support, chart_support, canonicalize, p1_to_tot)
+    return it without recomputing.
     """
-    frozen = not any(a.flags.writeable for a in (d.A1, d.A2, d.e) + d.C)
-    if frozen and tol in d._reports:
-        return d._reports[tol]
     p1 = validate_p1(d, tol)
     p2 = validate_p2(d, tol)
     if p1.passed and p2.passed:
@@ -362,22 +414,24 @@ def validate_hirz(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Validation
             verdict=INDETERMINATE,
             detail="refused: intertwining or nondegeneracy already fails",
         )
-    report = merge(p1, p2, ValidationReport(checks=(p3,)))
-    if frozen:
-        d._reports[tol] = report
-    return report
+    return merge(p1, p2, ValidationReport(checks=(p3,)))
 
 
 def act_gl2(d: HirzADHM, phi1, phi2, tol: ToleranceConfig = DEFAULT_TOL) -> HirzADHM:
-    """Gauge action C -> phi1 C phi2^-1, A -> phi2 A phi1^-1, e -> e phi1^-1."""
+    """Gauge action C -> phi1 C phi2^-1, A -> phi2 A phi1^-1, e -> e phi1^-1.
+
+    When phi2 is phi1 (one object, as canonicalize passes it), its rank
+    check and inverse run once.
+    """
+    same = phi2 is phi1
     phi1 = as_matrix(phi1, "phi1")
-    phi2 = as_matrix(phi2, "phi2")
+    phi2 = phi1 if same else as_matrix(phi2, "phi2")
     if phi1.shape != (d.c, d.c) or phi2.shape != (d.c, d.c):
         raise ShapeError("act_gl2: gauge matrices must match the point size")
-    if rank_tol(phi1, tol) < d.c or rank_tol(phi2, tol) < d.c:
+    if rank_tol(phi1, tol) < d.c or (not same and rank_tol(phi2, tol) < d.c):
         raise InvalidPointError("act_gl2: gauge matrix is singular at tolerance")
     inv1 = np.linalg.inv(phi1)
-    inv2 = np.linalg.inv(phi2)
+    inv2 = inv1 if same else np.linalg.inv(phi2)
     return hirz_adhm(
         d.n, d.c,
         phi2 @ d.A1 @ inv1,
@@ -387,6 +441,7 @@ def act_gl2(d: HirzADHM, phi1, phi2, tol: ToleranceConfig = DEFAULT_TOL) -> Hirz
     )
 
 
+@_memoized
 def to_chart(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCoords:
     """Chart-m coordinates (B, E, e; A2m) of a point.
 
@@ -494,6 +549,7 @@ def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL
     return chart_coords(l, cc.n, cc.c, moved.b1, moved.b2, moved.e, cc.A2m @ f)
 
 
+@_memoized
 def canonicalize(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL):
     """Deterministic orbit representative: (canonical point, chart index).
 

@@ -75,7 +75,7 @@ def as_matrix(a, name="matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or min(m.shape) < 1:
         raise ShapeError(f"{name}: expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ShapeError(f"{name}: entries must be finite")
     return m
 
@@ -86,7 +86,7 @@ def as_covector(a, name="covector") -> np.ndarray:
         v = v[0]
     if v.ndim != 1 or v.shape[0] < 1:
         raise ShapeError(f"{name}: expected a 1-d row, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ShapeError(f"{name}: entries must be finite")
     return v
 
@@ -195,7 +195,7 @@ def binary_form(coeffs) -> BinaryForm:
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     if c.size < 1:
         raise ShapeError("binary_form: need at least one coefficient")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ShapeError("binary_form: coefficients must be finite")
     return BinaryForm(degree=int(c.size - 1), coeffs=freeze(c))
 

@@ -212,16 +212,18 @@ def transition_plane(
 
 
 def _monomial_covectors(d: PlaneADHM, max_degree: int):
-    """Yield covectors e * b1^i * b2^j in graded order, b1-degree first."""
+    """Yield covectors e * b1^i * b2^j in graded order, b1-degree first.
+
+    The powers b1^k and b2^k are built when the scan reaches degree k.
+    """
     pow1 = [np.eye(d.c)]
     pow2 = [np.eye(d.c)]
-    for _ in range(max_degree):
-        pow1.append(pow1[-1] @ d.b1)
-        pow2.append(pow2[-1] @ d.b2)
     for degree in range(max_degree + 1):
+        if degree:
+            pow1.append(pow1[-1] @ d.b1)
+            pow2.append(pow2[-1] @ d.b2)
         for i in range(degree, -1, -1):
-            j = degree - i
-            yield (d.e @ pow1[i]) @ pow2[j]
+            yield (d.e @ pow1[i]) @ pow2[degree - i]
 
 
 def _monomial_gauge(d: PlaneADHM, tol: ToleranceConfig) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,6 @@ class _Ctx:
     max_c: int
     samples: int
     tol: ToleranceConfig
-    cache: dict = field(default_factory=dict)
 
     def cases(self, name, min_n=1):
         """Deterministic stream of (index, n, c, seed) covering the grid."""
@@ -139,17 +138,10 @@ class _Ctx:
         return out
 
     def hirz(self, n, c, seed):
-        key = ("hirz", n, c, seed)
-        if key not in self.cache:
-            rng = np.random.default_rng(seed)
-            self.cache[key] = _gen_hirz(rng, n, c, self.tol)
-        return self.cache[key]
+        return _gen_hirz(np.random.default_rng(seed), n, c, self.tol)
 
     def plane(self, c, seed):
-        key = ("plane", c, seed)
-        if key not in self.cache:
-            self.cache[key] = gen_plane_valid(GenConfig(seed=seed, c=c), self.tol)
-        return self.cache[key]
+        return gen_plane_valid(GenConfig(seed=seed, c=c), self.tol)
 
 
 def _property(name, min_n=1, where=None):
@@ -619,6 +611,11 @@ class PropertyResult:
 class SuiteReport:
     results: tuple
     warning: str = ""
+    # the run's case grid, so that reports of different runs differ
+    seed: int | None = None
+    max_n: int | None = None
+    max_c: int | None = None
+    samples: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -629,6 +626,7 @@ class SuiteReport:
                "properties": [r.to_json() for r in self.results]}
         if self.warning:
             out["warning"] = self.warning
+        out.update(seed=self.seed, max_n=self.max_n, max_c=self.max_c, samples=self.samples)
         return out
 
 
@@ -661,4 +659,5 @@ def run_suite(seed=2026, max_n=3, max_c=6, samples=100, name_filter=None,
             continue
         cases, failures = PROPERTIES[name](ctx)
         results.append(PropertyResult(name=name, cases=cases, failures=tuple(failures)))
-    return SuiteReport(results=tuple(results), warning=warning)
+    return SuiteReport(results=tuple(results), warning=warning, seed=seed, max_n=max_n,
+                       max_c=max_c, samples=samples)

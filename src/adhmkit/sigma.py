@@ -13,6 +13,7 @@ group in m, which is the engine behind every cross-chart identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,11 +48,20 @@ def _snap(x: float) -> float:
 
 
 def angle_pair(c_base: int, m: int) -> AnglePair:
-    """cos and sin of pi*m/(c_base+1); negating m mirrors the sine exactly."""
+    """cos and sin of pi*m/(c_base+1); negating m mirrors the sine exactly.
+
+    Pairs are cached by exact argument type once the arguments pass the
+    type checks.
+    """
     if not isinstance(c_base, int) or c_base < 1:
         raise DomainError(f"angle_pair: c_base must be a positive integer, got {c_base!r}")
     if not isinstance(m, int):
         raise DomainError(f"angle_pair: m must be an integer, got {m!r}")
+    return _angle_pair(c_base, m)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _angle_pair(c_base: int, m: int) -> AnglePair:
     theta = math.pi * abs(m) / (c_base + 1)
     cos_val = _snap(math.cos(theta))
     sin_val = _snap(math.sin(theta))
@@ -73,13 +83,20 @@ def sigma_matrix(h: int, m: int, c_base: int) -> SigmaMatrix:
 
     Built by explicit polynomial multiplication of the two binomial
     expansions, so entry (p, q) is exactly the coefficient of
-    mu2^q mu1^(h-q) in (s*mu1 + c*mu2)^p (c*mu1 - s*mu2)^(h-p).
+    mu2^q mu1^(h-q) in (s*mu1 + c*mu2)^p (c*mu1 - s*mu2)^(h-p).  The
+    read-only entries are cached by (h, angle pair) once the arguments pass
+    the type checks.
     """
     if not isinstance(h, int) or h < 0:
         raise DomainError(f"sigma_matrix: order h must be a nonnegative integer, got {h!r}")
     if h > _MAX_ORDER:
         raise DomainError(f"sigma_matrix: order {h} exceeds supported maximum {_MAX_ORDER}")
-    ap = angle_pair(c_base, m)
+    entries = _sigma_entries(h, angle_pair(c_base, m))
+    return SigmaMatrix(h=h, m=m, c_base=c_base, entries=entries)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _sigma_entries(h: int, ap: AnglePair) -> np.ndarray:
     c, s = ap.cos_val, ap.sin_val
     entries = np.zeros((h + 1, h + 1))
     for p in range(h + 1):
@@ -89,4 +106,4 @@ def sigma_matrix(h: int, m: int, c_base: int) -> SigmaMatrix:
         )
         entries[p, :] = np.convolve(first, second)
     entries.setflags(write=False)
-    return SigmaMatrix(h=h, m=m, c_base=c_base, entries=entries)
+    return entries

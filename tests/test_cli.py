@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -379,3 +382,11 @@ def test_c1_from_ytilde_rejects_nonpositive_n(capsys, tmp_path, n):
     path.write_text(json.dumps(data))
     code, payload = run(capsys, "c1-from-ytilde", str(path), "--n", n)
     assert code == 2 and payload["error"] == "domain"
+
+
+def test_cli_import_does_not_load_the_property_suite():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = "import adhmkit.cli, sys; sys.exit('adhmkit.propsuite' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0

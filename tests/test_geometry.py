@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adhmkit import geometry
+from adhmkit import hirz as hirz_mod
 from adhmkit.errors import DomainError, InvalidPointError, ShapeError
 from adhmkit.geometry import (
     base_support,
@@ -17,6 +18,7 @@ from adhmkit.geometry import (
 from adhmkit.hirz import act_gl2, chart_set, from_chart, validate_hirz
 from adhmkit.linalg import (
     DEFAULT_TOL,
+    ToleranceConfig,
     binary_form_roots,
     proj_distance,
     proj_point,
@@ -263,3 +265,28 @@ def test_c1_bridge_identities():
         t = p1_to_tot(ytilde_to_p1(p, n))
         assert abs(t.u1 - p.x1 * p.y2) < 1e-10 * max(abs(t.u1), 1.0)
         assert abs(t.u2 - p.x2 * p.y1) < 1e-10 * max(abs(t.u2), 1.0)
+
+
+def test_spectrum_checks_over_the_chart_set_chart_the_first_chart_once(monkeypatch):
+    d = gen_hirz_valid(GenConfig(seed=21, n=2, c=4))
+    charts = chart_set(d)
+    assert len(charts) > 1
+    real = hirz_mod._pencil_at
+    firsts = []
+
+    def counting(d, m):
+        if m == charts[0]:
+            firsts.append(m)
+        return real(d, m)
+
+    monkeypatch.setattr(hirz_mod, "_pencil_at", counting)
+    assert all(spectrum_vs_pencil_check(d, m) for m in charts)
+    assert firsts == [charts[0]]
+
+
+def test_base_support_is_memoized_per_tolerance():
+    d = gen_hirz_valid(GenConfig(seed=22, n=1, c=3))
+    sup = base_support(d)
+    assert base_support(d, DEFAULT_TOL) is sup and base_support(d, tol=DEFAULT_TOL) is sup
+    wide = base_support(d, ToleranceConfig(root_cluster_tol=1e-3))
+    assert wide is not sup and wide.base == sup.base

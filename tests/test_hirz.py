@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,91 @@ def test_point_with_writable_arrays_is_revalidated():
 
 def test_validation_leaves_no_trace_in_repr_or_json():
     d = gen_hirz_valid(GenConfig(seed=53, n=3, c=2))
+    twin = dataclasses.replace(d)  # same arrays, empty memo
     before = (repr(d), serialize.dumps(d))
     assert validate_hirz(d).passed
-    assert (repr(d), serialize.dumps(d)) == before
+    canonicalize(d)
+    geometry.base_support(d)
+    assert d._memo and not twin._memo
+    assert (repr(d), serialize.dumps(d)) == before == (repr(twin), serialize.dumps(twin))
+    assert d == twin
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_orbit_equal_with_itself_canonicalizes_once(monkeypatch):
+    d = gen_hirz_valid(GenConfig(seed=54, n=2, c=3))
+    gauges = _count_calls(monkeypatch, hirz_mod.plane_mod, "_monomial_gauge")
+    assert orbit_equal(d, d)
+    assert len(gauges) == 1
+    canonicalize(d)
+    assert len(gauges) == 1
+
+
+def test_chart_set_after_validation_runs_no_svd(monkeypatch):
+    d = gen_hirz_valid(GenConfig(seed=55, n=2, c=4))
+    assert validate_hirz(d).passed
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    assert chart_set(d) == validate_hirz(d).chart_set
+    assert svds == []
+
+
+def test_memo_shares_positional_keyword_and_default_tol(monkeypatch):
+    d = gen_hirz_valid(GenConfig(seed=56, n=2, c=3))
+    m = chart_set(d)[0]
+    bodies = _count_calls(monkeypatch, hirz_mod, "_pencil_at")
+    cc = to_chart(d, m)
+    assert to_chart(d, m, DEFAULT_TOL) is cc
+    assert to_chart(d, m, tol=DEFAULT_TOL) is cc
+    assert to_chart(d, m=m) is cc
+    assert to_chart(d, m, ToleranceConfig()) is cc  # equal tolerances share an entry
+    assert len(bodies) == 1
+    tight = ToleranceConfig(rank_rel_tol=1e-12)
+    other = to_chart(d, m, tight)
+    assert other is not cc and to_chart(d, m, tol=tight) is other
+    assert len(bodies) == 2
+    assert validate_hirz(d, tol=DEFAULT_TOL) is validate_hirz(d)
+
+
+def test_memo_keys_by_exact_type():
+    d = gen_hirz_valid(GenConfig(seed=57, n=1, c=3))
+    for m in (0, 1):
+        to_chart(d, m)
+        with pytest.raises(DomainError, match="m must be an integer"):
+            to_chart(d, float(m))
+
+
+def test_raising_canonicalize_raises_again():
+    # a valid point whose monomial gauge is singular at rank_rel_tol
+    # (tests/test_regressions.py pins the defect)
+    d = gen_hirz_valid(GenConfig(seed=1, n=3, c=12))
+    with pytest.raises(InvalidPointError) as first:
+        canonicalize(d)
+    with pytest.raises(InvalidPointError) as second:
+        canonicalize(d)
+    assert str(first.value) == str(second.value)
+    assert all(key[0] is not canonicalize.__wrapped__ for key in d._memo)
+
+
+def test_point_with_writable_arrays_is_recomputed(monkeypatch):
+    d = gen_hirz_valid(GenConfig(seed=58, n=2, c=3))
+    raw = hirz_mod.HirzADHM(n=d.n, c=d.c, A1=np.array(d.A1), A2=np.array(d.A2),
+                            C=tuple(np.array(x) for x in d.C), e=np.array(d.e))
+    m = chart_set(raw)[0]
+    bodies = _count_calls(monkeypatch, hirz_mod, "_pencil_at")
+    assert to_chart(raw, m) is not to_chart(raw, m)
+    assert len(bodies) == 2
+    assert canonicalize(raw)[0] is not canonicalize(raw)[0]
+    assert validate_hirz(raw) is not validate_hirz(raw)
+    assert raw._memo == {}

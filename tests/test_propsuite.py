@@ -52,6 +52,17 @@ def test_suite_seed_changes_cases_not_verdict():
     assert r1.passed and r2.passed
 
 
+def test_passing_reports_of_different_seeds_differ():
+    r1 = run_suite(seed=3, max_n=2, max_c=2, samples=2)
+    r2 = run_suite(seed=2026, max_n=2, max_c=2, samples=2)
+    assert r1.passed and r2.passed
+    j1, j2 = r1.to_json(), r2.to_json()
+    assert j1["properties"] == j2["properties"]
+    assert json.dumps(j1, sort_keys=True) != json.dumps(j2, sort_keys=True)
+    assert {k: j1[k] for k in ("seed", "max_n", "max_c", "samples")} == {
+        "seed": 3, "max_n": 2, "max_c": 2, "samples": 2}
+
+
 def test_name_filter_subsets():
     rep = run_suite(seed=5, max_n=2, max_c=2, samples=2, name_filter="sigma")
     names = {r.name for r in rep.results}

@@ -113,3 +113,26 @@ def test_sigma_rejects_out_of_range_order():
         sigma_matrix(-1, 0, 1)
     with pytest.raises(DomainError):
         sigma_matrix(200, 0, 1)
+
+
+def test_angle_pairs_and_sigma_entries_are_cached():
+    assert angle_pair(5, 2) is angle_pair(5, 2)
+    first = sigma_matrix(3, 2, 5)
+    again = sigma_matrix(3, 2, 5)
+    assert again.entries is first.entries and not again.entries.flags.writeable
+    assert (again.h, again.m, again.c_base) == (3, 2, 5)
+
+
+def test_type_checks_run_before_the_caches():
+    angle_pair(3, 1)
+    sigma_matrix(2, 0, 3)
+    with pytest.raises(DomainError, match="m must be an integer"):
+        angle_pair(3, 1.0)
+    with pytest.raises(DomainError, match="c_base must be a positive integer"):
+        angle_pair([1], 0)
+    with pytest.raises(DomainError, match="m must be an integer"):
+        angle_pair(3, [1])
+    with pytest.raises(DomainError, match="order h must be a nonnegative integer"):
+        sigma_matrix(2.0, 0, 3)
+    with pytest.raises(DomainError, match="m must be an integer"):
+        sigma_matrix(2, 0.0, 3)

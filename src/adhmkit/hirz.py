@@ -112,23 +112,18 @@ def _memoized(fn):
     to fn's signature go straight to fn.
     """
     sig = inspect.signature(fn)
-    defaults = tuple(p.default for p in sig.parameters.values())[1:]
-    required = sum(p is inspect.Parameter.empty for p in defaults)
 
     @functools.wraps(fn)
     def memoized(d, *args, **kwargs):
         if not _frozen(d):
             return fn(d, *args, **kwargs)
-        if not kwargs and required <= len(args) <= len(defaults):
-            values = args + defaults[len(args):]
-        else:
-            try:
-                bound = sig.bind(d, *args, **kwargs)
-            except TypeError:
-                return fn(d, *args, **kwargs)
-            bound.apply_defaults()
-            values = bound.args[1:]
-        key = (fn, *((type(v), v) for v in values))
+        try:
+            bound = sig.bind(d, *args, **kwargs)
+        except TypeError:
+            return fn(d, *args, **kwargs)
+        bound.apply_defaults()
+        # keyed by the wrapper, which pickles by name, so a used point still pickles
+        key = (memoized, *((type(v), v) for v in bound.args[1:]))
         try:
             return d._memo[key]
         except KeyError:

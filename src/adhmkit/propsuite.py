@@ -610,12 +610,12 @@ class PropertyResult:
 @dataclass(frozen=True)
 class SuiteReport:
     results: tuple
-    warning: str = ""
     # the run's case grid, so that reports of different runs differ
-    seed: int | None = None
-    max_n: int | None = None
-    max_c: int | None = None
-    samples: int | None = None
+    seed: int
+    max_n: int
+    max_c: int
+    samples: int
+    warning: str = ""
 
     @property
     def passed(self) -> bool:
@@ -659,5 +659,5 @@ def run_suite(seed=2026, max_n=3, max_c=6, samples=100, name_filter=None,
             continue
         cases, failures = PROPERTIES[name](ctx)
         results.append(PropertyResult(name=name, cases=cases, failures=tuple(failures)))
-    return SuiteReport(results=tuple(results), warning=warning, seed=seed, max_n=max_n,
-                       max_c=max_c, samples=samples)
+    return SuiteReport(results=tuple(results), seed=seed, max_n=max_n, max_c=max_c,
+                       samples=samples, warning=warning)

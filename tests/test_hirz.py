@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -417,6 +418,16 @@ def test_validation_leaves_no_trace_in_repr_or_json():
     assert d == twin
 
 
+def test_point_with_a_filled_memo_pickles():
+    d = gen_hirz_valid(GenConfig(seed=53, n=2, c=3))
+    canonicalize(d)
+    geometry.base_support(d)
+    assert d._memo
+    again = pickle.loads(pickle.dumps(d))
+    assert serialize.dumps(again) == serialize.dumps(d)
+    assert geometry.base_support(again) == geometry.base_support(d)
+
+
 def _count_calls(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's arguments."""
     calls = []
@@ -481,7 +492,7 @@ def test_raising_canonicalize_raises_again():
     with pytest.raises(InvalidPointError) as second:
         canonicalize(d)
     assert str(first.value) == str(second.value)
-    assert all(key[0] is not canonicalize.__wrapped__ for key in d._memo)
+    assert all(key[0] is not canonicalize for key in d._memo)
 
 
 def test_point_with_writable_arrays_is_recomputed(monkeypatch):

@@ -147,7 +147,7 @@ def base_support(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> SupportMult
     chart set, carried back through the chart angle and clustered within
     root_cluster_tol.  Roots of the determinant's coefficients drift at
     large c; pencil_form stays the independent witness.  The support is
-    memoized on a read-only point, one per tolerance.
+    memoized on the point, one per tolerance.
     """
     m = _require_valid(d, tol, "base_support").chart_set[0]
     return SupportMultiset(base=_chart_base_roots(to_chart(d, m, tol), tol))

@@ -22,10 +22,10 @@ unless it is identically zero, every nondegenerate point owns a chart.
 
 Every derived value of a point (its P1 and P2 reports, full validation
 report, chart coordinates, canonical form, and geometry.base_support) is a
-pure function of the point and its arguments.  Points built by hirz_adhm
-hold read-only arrays, so those values are memoized on the point, computed
-once per argument tuple and tolerance; a point built from writable arrays
-is recomputed on every call.
+pure function of the point and its arguments.  A point holds read-only
+copies of its arrays however it is built, so those values are memoized on
+the point, computed once per argument tuple and tolerance.  A copy made by
+dataclasses.replace or by unpickling starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .linalg import (
     ToleranceConfig,
     as_covector,
     as_matrix,
-    freeze,
+    _ArrayValue,
     kernel_basis,
     mats_close,
     rank_tol,
@@ -84,21 +84,16 @@ _MAX_TWIST = 64
 _GAP_MIN = 1e3
 
 
-@dataclass(frozen=True)
-class HirzADHM:
+@dataclass(frozen=True, eq=False)
+class HirzADHM(_ArrayValue):
     n: int
     c: int
     A1: np.ndarray
     A2: np.ndarray
     C: tuple
     e: np.ndarray
-    # derived values by (function, arguments); used only when every array is read-only
+    # derived values by (function, arguments)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _frozen(d: HirzADHM) -> bool:
-    """Whether every array of d is read-only, as hirz_adhm builds them."""
-    return not any(a.flags.writeable for a in (d.A1, d.A2, d.e, *d.C))
 
 
 def _memoized(fn):
@@ -107,22 +102,19 @@ def _memoized(fn):
     The key holds every argument after d with its default applied and its
     exact type, so f(d, m), f(d, m, DEFAULT_TOL) and f(d, m, tol=DEFAULT_TOL)
     share one entry, while f(d, 1.0) never returns f(d, 1)'s value.  Only
-    returned values are stored, so a call that raised raises again.  Points
-    with writable arrays, unhashable arguments and calls that do not bind
-    to fn's signature go straight to fn.
+    returned values are stored, so a call that raised raises again.
+    Unhashable arguments and calls that do not bind to fn's signature go
+    straight to fn.
     """
     sig = inspect.signature(fn)
 
     @functools.wraps(fn)
     def memoized(d, *args, **kwargs):
-        if not _frozen(d):
-            return fn(d, *args, **kwargs)
         try:
             bound = sig.bind(d, *args, **kwargs)
         except TypeError:
             return fn(d, *args, **kwargs)
         bound.apply_defaults()
-        # keyed by the wrapper, which pickles by name, so a used point still pickles
         key = (memoized, *((type(v), v) for v in bound.args[1:]))
         try:
             return d._memo[key]
@@ -136,8 +128,8 @@ def _memoized(fn):
     return memoized
 
 
-@dataclass(frozen=True)
-class ChartCoords:
+@dataclass(frozen=True, eq=False)
+class ChartCoords(_ArrayValue):
     m: int
     n: int
     c: int
@@ -168,8 +160,7 @@ def hirz_adhm(n, c, A1, A2, C, e) -> HirzADHM:
     for q, cq in enumerate(cs):
         if cq.shape != (c, c):
             raise ShapeError(f"hirz_adhm: C[{q}] has shape {cq.shape}, expected ({c}, {c})")
-    return HirzADHM(n=n, c=c, A1=freeze(A1), A2=freeze(A2),
-                    C=tuple(freeze(cq) for cq in cs), e=freeze(e))
+    return HirzADHM(n=n, c=c, A1=A1, A2=A2, C=cs, e=e)
 
 
 def chart_coords(m, n, c, B, E, e, A2m) -> ChartCoords:
@@ -183,7 +174,7 @@ def chart_coords(m, n, c, B, E, e, A2m) -> ChartCoords:
     e = as_covector(e, "e")
     if B.shape != (c, c) or E.shape != (c, c) or A2m.shape != (c, c) or e.shape != (c,):
         raise ShapeError("chart_coords: inconsistent matrix shapes")
-    return ChartCoords(m=m, n=n, c=c, B=freeze(B), E=freeze(E), e=freeze(e), A2m=freeze(A2m))
+    return ChartCoords(m=m, n=n, c=c, B=B, E=E, e=e, A2m=A2m)
 
 
 def plane_part(cc: ChartCoords) -> PlaneADHM:
@@ -395,7 +386,7 @@ def validate_hirz(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Validation
     at the smallest chart of P2's chart set.  Otherwise co-stability is
     refused.
 
-    The report is memoized on a read-only point, one per tolerance, and
+    The report is memoized on the point, one per tolerance, and
     later calls (base_support, chart_support, canonicalize, p1_to_tot)
     return it without recomputing.
     """
@@ -443,6 +434,8 @@ def to_chart(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCo
     Requires m in the chart set.  D is the binomial contraction of the C_q
     at the chart angle and E = D A2m.
     """
+    if not isinstance(m, int):
+        raise DomainError(f"to_chart: chart index m must be an integer, got {m!r}")
     if not 0 <= m <= d.c:
         raise DomainError(f"to_chart: chart index {m} outside 0..{d.c}")
     ap = angle_pair(d.c, m)
@@ -536,6 +529,8 @@ def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL
     A2l = A2m (cos_{m-l} 1 - sin_{m-l} B); requires the overlap condition
     det(cos_{m-l} 1 - sin_{m-l} B) != 0.
     """
+    if not isinstance(l, int):
+        raise DomainError(f"transition_omega: chart index l must be an integer, got {l!r}")
     if not 0 <= l <= cc.c:
         raise DomainError(f"transition_omega: chart index {l} outside 0..{cc.c}")
     moved = plane_mod.transition_plane(plane_part(cc), cc.m, l, cc.n, cc.c, tol)

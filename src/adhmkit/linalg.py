@@ -10,7 +10,7 @@ the companion matrix of a dehomogenization chosen for stability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,6 +69,37 @@ def freeze(a) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
+
+
+class _ArrayValue:
+    """Base of the frozen dataclasses that hold arrays (declared with eq=False).
+
+    Every init field not annotated int holds a matrix, a covector or a tuple
+    of matrices, stored as read-only complex128 copies however the value is
+    built: through its factory, its constructor, dataclasses.replace or
+    unpickling, which goes through the constructor.  == is exact equality
+    field by field; values stay unhashable.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.init and f.type not in ("int", int):
+                v = getattr(self, f.name)
+                object.__setattr__(self, f.name, tuple(map(freeze, v)) if isinstance(v, tuple)
+                                   else freeze(v))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+        return all(
+            len(a) == len(b) and all(map(np.array_equal, a, b)) if isinstance(a, tuple)
+            else np.array_equal(a, b)
+            for a, b in pairs
+        )
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
@@ -136,7 +167,7 @@ def _as_points(xs) -> np.ndarray:
     return pts.reshape(pts.shape[0], -1) if pts.size else pts.reshape(0, 1)
 
 
-def greedy_match(a, b, tol: ToleranceConfig = DEFAULT_TOL, scale=None) -> bool:
+def greedy_match(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Compare two multisets of points in C^d by greedy nearest-pair matching.
 
     True when both have the same size and each greedily matched pair lies
@@ -149,8 +180,7 @@ def greedy_match(a, b, tol: ToleranceConfig = DEFAULT_TOL, scale=None) -> bool:
     k = pa.shape[0]
     if k == 0:
         return True
-    if scale is None:
-        scale = max(float(np.abs(pa).max()), float(np.abs(pb).max()), 1.0)
+    scale = max(float(np.abs(pa).max()), float(np.abs(pb).max()), 1.0)
     dist = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
     used_a = np.zeros(k, dtype=bool)
     used_b = np.zeros(k, dtype=bool)
@@ -301,8 +331,10 @@ def random_well_conditioned(rng, c, spread=16.0) -> np.ndarray:
     """
     if spread < 1.0:
         raise DomainError("random_well_conditioned: spread must be >= 1")
-    u, _ = np.linalg.qr(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
-    v, _ = np.linalg.qr(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
+    # the real and imaginary parts of U's seed matrix, then of V's: one draw
+    # and one stacked QR give the same bits as four draws and two QR calls
+    z = rng.normal(size=(2, 2, c, c))
+    u, v = np.linalg.qr(z[:, 0] + 1j * z[:, 1])[0]
     half = np.sqrt(spread)
     s = np.exp(rng.uniform(np.log(1.0 / half), np.log(half), size=c))
     return (u * s) @ v.conj().T

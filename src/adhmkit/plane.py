@@ -26,6 +26,7 @@ from .linalg import (
     ToleranceConfig,
     as_covector,
     as_matrix,
+    _ArrayValue,
     freeze,
     kernel_basis,
     mats_close,
@@ -47,8 +48,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlaneADHM:
+@dataclass(frozen=True, eq=False)
+class PlaneADHM(_ArrayValue):
     c: int
     b1: np.ndarray
     b2: np.ndarray
@@ -65,7 +66,7 @@ def plane_adhm(b1, b2, e) -> PlaneADHM:
         raise ShapeError(
             f"plane_adhm: inconsistent shapes b1={b1.shape} b2={b2.shape} e={e.shape}"
         )
-    return PlaneADHM(c=c, b1=freeze(b1), b2=freeze(b2), e=freeze(e))
+    return PlaneADHM(c=c, b1=b1, b2=b2, e=e)
 
 
 def _commutator_rel(b1, b2) -> float:

@@ -89,24 +89,22 @@ def gen_plane_valid(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL) -> Plane
     return _gen_plane(rng, cfg.c, tol)
 
 
-def _gen_hirz(rng, n, c, tol, gauge=True):
+def _gen_hirz(rng, n, c, tol):
     # d0 is validated by _gen_plane and the frame's condition number is at
     # most 16 by construction, so the chart assembly needs no further checks
     d0 = _gen_plane(rng, c, tol)
     frame = random_well_conditioned(rng, c)
     m = int(rng.integers(0, c + 2)) % (c + 1)
     d = hirz_mod._assemble_from_chart(m, d0.b1, d0.b2, d0.e, frame, n, c)
-    if gauge:
-        phi1 = random_well_conditioned(rng, c)
-        phi2 = random_well_conditioned(rng, c)
-        d = hirz_mod.act_gl2(d, phi1, phi2, tol)
-    return d
+    phi1 = random_well_conditioned(rng, c)
+    phi2 = random_well_conditioned(rng, c)
+    return hirz_mod.act_gl2(d, phi1, phi2, tol)
 
 
-def gen_hirz_valid(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL, gauge: bool = True):
+def gen_hirz_valid(cfg: GenConfig, tol: ToleranceConfig = DEFAULT_TOL):
     """Random valid point: chart assembly of plane data, then a random gauge."""
     rng = np.random.default_rng(cfg.seed)
-    return _gen_hirz(rng, cfg.n, cfg.c, tol, gauge=gauge)
+    return _gen_hirz(rng, cfg.n, cfg.c, tol)
 
 
 # ---------------------------------------------------------------------------

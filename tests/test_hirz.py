@@ -397,18 +397,77 @@ def test_validation_report_per_tolerance():
     assert validate_hirz(d) is default and default.passed
 
 
-def test_point_with_writable_arrays_is_revalidated():
-    d = gen_hirz_valid(GenConfig(seed=52, n=1, c=3))
-    raw = hirz_mod.HirzADHM(n=d.n, c=d.c, A1=np.array(d.A1), A2=np.array(d.A2),
-                            C=tuple(np.array(x) for x in d.C), e=np.array(d.e))
-    assert validate_hirz(raw).passed
-    raw.C[0][0, 0] += 1.0
-    assert not validate_hirz(raw).check("intertwine").passed
+def _values():
+    """One value of each array-holding type."""
+    d = gen_hirz_valid(GenConfig(seed=52, n=2, c=3))
+    cc = to_chart(d, chart_set(d)[0])
+    return {"hirz": d, "chart": cc, "plane": plane_part(cc)}
+
+
+def _writable_fields(x):
+    """x's constructor arguments by name, each array a writable copy."""
+    out = {}
+    for f in dataclasses.fields(x):
+        if f.init:
+            v = getattr(x, f.name)
+            out[f.name] = (tuple(map(np.array, v)) if isinstance(v, tuple)
+                           else np.array(v) if isinstance(v, np.ndarray) else v)
+    return out
+
+
+def _arrays(values):
+    """The arrays among values, with each tuple's members in order."""
+    for v in values:
+        if isinstance(v, tuple):
+            yield from v
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
+@pytest.mark.parametrize("kind", ["hirz", "chart", "plane"])
+def test_value_equality_is_exact_and_values_are_unhashable(kind):
+    x = _values()[kind]
+    twin = type(x)(**_writable_fields(x))
+    assert not any(a is b for a, b in zip(_arrays(vars(x).values()), _arrays(vars(twin).values())))
+    assert twin == x and not twin != x
+    array_fields = [name for name, v in _writable_fields(x).items() if not isinstance(v, int)]
+    for name in array_fields:
+        kwargs = _writable_fields(x)
+        next(_arrays([kwargs[name]])).flat[0] += 1e-12  # far inside eq_rel_tol, still unequal
+        assert type(x)(**kwargs) != x
+    assert x != "not a value"
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+@pytest.mark.parametrize("kind", ["hirz", "chart", "plane"])
+def test_value_arrays_are_read_only_copies_on_every_route(kind):
+    x = _values()[kind]
+    kwargs = _writable_fields(x)
+    built = type(x)(**kwargs)
+    for y in (built, dataclasses.replace(built), pickle.loads(pickle.dumps(built))):
+        assert y == x
+        arrays = list(_arrays(vars(y).values()))
+        assert all(not a.flags.writeable and a.dtype == np.complex128 for a in arrays)
+    for a in _arrays(kwargs.values()):  # the caller's arrays stay the caller's to change
+        a += 1.0
+    assert built == x
+
+
+def test_factories_copy_each_caller_array():
+    d = gen_hirz_valid(GenConfig(seed=52, n=2, c=3))
+    a1, a2, cs, e = np.array(d.A1), np.array(d.A2), [np.array(x) for x in d.C], np.array(d.e)
+    built = hirz_adhm(d.n, d.c, a1, a2, cs, e)
+    plane = plane_adhm(a1, a2, e)
+    for a in (a1, a2, *cs, e):
+        a *= 2.0
+    assert built == d
+    assert plane == plane_adhm(d.A1, d.A2, d.e)
 
 
 def test_validation_leaves_no_trace_in_repr_or_json():
     d = gen_hirz_valid(GenConfig(seed=53, n=3, c=2))
-    twin = dataclasses.replace(d)  # same arrays, empty memo
+    twin = dataclasses.replace(d)  # equal arrays, empty memo
     before = (repr(d), serialize.dumps(d))
     assert validate_hirz(d).passed
     canonicalize(d)
@@ -495,14 +554,36 @@ def test_raising_canonicalize_raises_again():
     assert all(key[0] is not canonicalize for key in d._memo)
 
 
-def test_point_with_writable_arrays_is_recomputed(monkeypatch):
+def test_point_from_writable_arrays_is_memoized(monkeypatch):
     d = gen_hirz_valid(GenConfig(seed=58, n=2, c=3))
     raw = hirz_mod.HirzADHM(n=d.n, c=d.c, A1=np.array(d.A1), A2=np.array(d.A2),
                             C=tuple(np.array(x) for x in d.C), e=np.array(d.e))
     m = chart_set(raw)[0]
     bodies = _count_calls(monkeypatch, hirz_mod, "_pencil_at")
-    assert to_chart(raw, m) is not to_chart(raw, m)
-    assert len(bodies) == 2
-    assert canonicalize(raw)[0] is not canonicalize(raw)[0]
-    assert validate_hirz(raw) is not validate_hirz(raw)
-    assert raw._memo == {}
+    assert to_chart(raw, m) is to_chart(raw, m)
+    assert len(bodies) == 1
+    assert canonicalize(raw)[0] is canonicalize(raw)[0]
+    assert validate_hirz(raw) is validate_hirz(raw)
+
+
+def test_unpickled_point_memoizes_again(monkeypatch):
+    d = gen_hirz_valid(GenConfig(seed=58, n=2, c=3))
+    assert validate_hirz(d).passed and d._memo
+    again = pickle.loads(pickle.dumps(d))
+    assert again == d and again._memo == {}
+    bodies = _count_calls(monkeypatch, hirz_mod, "_pencil_at")
+    assert validate_hirz(again) is validate_hirz(again)
+    m = chart_set(again)[0]
+    assert to_chart(again, m) is to_chart(again, m)
+    assert len(bodies) == 1  # validate_hirz's chart step, read back by to_chart
+
+
+def test_chart_index_must_be_a_python_int():
+    d = gen_hirz_valid(GenConfig(seed=59, n=2, c=3))
+    m = chart_set(d)[0]
+    with pytest.raises(DomainError, match="to_chart: chart index m must be an integer"):
+        to_chart(d, np.int64(1))
+    cc = to_chart(d, m)
+    for bad in (np.int64(1), 1.0):
+        with pytest.raises(DomainError, match="transition_omega: chart index l must be an integer"):
+            transition_omega(cc, bad)

@@ -179,6 +179,24 @@ def test_random_well_conditioned_bound():
         random_well_conditioned(rng, 2, spread=0.5)
 
 
+def _two_call_haar(rng, c, spread=16.0):
+    """random_well_conditioned with one draw pair and one QR call per factor."""
+    u, _ = np.linalg.qr(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
+    v, _ = np.linalg.qr(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
+    half = np.sqrt(spread)
+    s = np.exp(rng.uniform(np.log(1.0 / half), np.log(half), size=c))
+    return (u * s) @ v.conj().T
+
+
+def test_random_well_conditioned_matches_two_call_draw():
+    # the generated stream, and so every pinned seed, must not move
+    for c in range(1, 33):
+        for seed in range(20):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(random_well_conditioned(got, c), _two_call_haar(want, c))
+            assert np.array_equal(got.normal(size=2), want.normal(size=2))
+
+
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=1e6,
                               allow_nan=False, allow_infinity=False)
 

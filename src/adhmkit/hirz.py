@@ -50,11 +50,12 @@ from .linalg import (
     as_covector,
     as_matrix,
     _ArrayValue,
+    _inverse_at_tol,
     kernel_basis,
     mats_close,
     rank_tol,
 )
-from .plane import PlaneADHM, plane_adhm
+from .plane import PlaneADHM
 from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport, merge
 from .sigma import angle_pair, sigma_matrix
 
@@ -101,28 +102,36 @@ def _memoized(fn):
 
     The key holds every argument after d with its default applied and its
     exact type, so f(d, m), f(d, m, DEFAULT_TOL) and f(d, m, tol=DEFAULT_TOL)
-    share one entry, while f(d, 1.0) never returns f(d, 1)'s value.  Only
-    returned values are stored, so a call that raised raises again.
-    Unhashable arguments and calls that do not bind to fn's signature go
-    straight to fn.
+    share one entry, while f(d, 1.0) never returns f(d, 1)'s value; the
+    defaults are read once, so only calls with keywords bind fn's signature.
+    Only returned values are stored, so a call that raised raises again.
+    Unhashable arguments and unbindable calls go straight to fn.
     """
     sig = inspect.signature(fn)
+    params = tuple(sig.parameters.values())[1:]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    defaults = tuple(p.default for p in params)
+    required = sum(p.default is p.empty for p in params)
 
     @functools.wraps(fn)
     def memoized(d, *args, **kwargs):
-        try:
-            bound = sig.bind(d, *args, **kwargs)
-        except TypeError:
-            return fn(d, *args, **kwargs)
-        bound.apply_defaults()
-        key = (memoized, *((type(v), v) for v in bound.args[1:]))
+        if kwargs or not required <= len(args) <= len(params):
+            try:
+                bound = sig.bind(d, *args, **kwargs)
+            except TypeError:
+                return fn(d, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        else:
+            args += defaults[len(args):]
+        key = (memoized, *((type(v), v) for v in args))
         try:
             return d._memo[key]
         except KeyError:
             pass
         except TypeError:  # unhashable argument
-            return fn(d, *args, **kwargs)
-        value = d._memo[key] = fn(d, *args, **kwargs)
+            return fn(d, *args)
+        value = d._memo[key] = fn(d, *args)
         return value
 
     return memoized
@@ -179,7 +188,7 @@ def chart_coords(m, n, c, B, E, e, A2m) -> ChartCoords:
 
 def plane_part(cc: ChartCoords) -> PlaneADHM:
     """The plane-type triple (B, E, e) carried by chart coordinates."""
-    return plane_adhm(cc.B, cc.E, cc.e)
+    return PlaneADHM(c=cc.c, b1=cc.B, b2=cc.E, e=cc.e)
 
 
 def _pencil_at(d: HirzADHM, m: int):
@@ -406,24 +415,24 @@ def validate_hirz(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Validation
 def act_gl2(d: HirzADHM, phi1, phi2, tol: ToleranceConfig = DEFAULT_TOL) -> HirzADHM:
     """Gauge action C -> phi1 C phi2^-1, A -> phi2 A phi1^-1, e -> e phi1^-1.
 
-    When phi2 is phi1 (one object, as canonicalize passes it), its rank
-    check and inverse run once.
+    When phi2 is phi1 (one object, as canonicalize passes it), its
+    invertibility gate runs once.
     """
     same = phi2 is phi1
     phi1 = as_matrix(phi1, "phi1")
     phi2 = phi1 if same else as_matrix(phi2, "phi2")
     if phi1.shape != (d.c, d.c) or phi2.shape != (d.c, d.c):
         raise ShapeError("act_gl2: gauge matrices must match the point size")
-    if rank_tol(phi1, tol) < d.c or (not same and rank_tol(phi2, tol) < d.c):
+    inv1 = _inverse_at_tol(phi1, tol)
+    inv2 = inv1 if same or inv1 is None else _inverse_at_tol(phi2, tol)
+    if inv2 is None:
         raise InvalidPointError("act_gl2: gauge matrix is singular at tolerance")
-    inv1 = np.linalg.inv(phi1)
-    inv2 = inv1 if same else np.linalg.inv(phi2)
-    return hirz_adhm(
-        d.n, d.c,
-        phi2 @ d.A1 @ inv1,
-        phi2 @ d.A2 @ inv1,
-        tuple(phi1 @ cq @ inv2 for cq in d.C),
-        d.e @ inv1,
+    return HirzADHM(
+        n=d.n, c=d.c,
+        A1=phi2 @ d.A1 @ inv1,
+        A2=phi2 @ d.A2 @ inv1,
+        C=tuple(phi1 @ cq @ inv2 for cq in d.C),
+        e=d.e @ inv1,
     )
 
 
@@ -440,7 +449,7 @@ def to_chart(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCo
         raise DomainError(f"to_chart: chart index {m} outside 0..{d.c}")
     ap = angle_pair(d.c, m)
     a1m, a2m = _pencil_at(d, m)
-    if rank_tol(a2m, tol) < d.c:
+    if _inverse_at_tol(a2m, tol) is None:
         raise DomainError(
             f"to_chart: chart {m} unavailable: det(A2m) = {np.linalg.det(a2m):.6e}"
         )
@@ -449,7 +458,7 @@ def to_chart(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCo
         math.comb(d.n - 1, q - 1) * ap.cos_val ** (d.n - q) * ap.sin_val ** (q - 1) * d.C[q - 1]
         for q in range(1, d.n + 1)
     )
-    return chart_coords(m, d.n, d.c, b, dmat @ a2m, d.e, a2m)
+    return ChartCoords(m=m, n=d.n, c=d.c, B=b, E=dmat @ a2m, e=d.e, A2m=a2m)
 
 
 def reconstruct_C(B, D, m: int, n: int, c_base: int):
@@ -478,27 +487,26 @@ def from_chart(m: int, d: PlaneADHM, A, n: int, tol: ToleranceConfig = DEFAULT_T
     comes from reconstruct_C with D = b2 A^-1; then to_chart at m returns
     (b1, b2, e; A).
     """
-    rep = plane_mod.validate_plane(d, tol)
-    if not rep.passed:
+    if not plane_mod.validate_plane(d, tol).passed:
         raise InvalidPointError("from_chart: plane data is not valid")
     A = as_matrix(A, "A")
     if A.shape != (d.c, d.c):
         raise ShapeError(f"from_chart: frame must be {d.c} x {d.c}, got {A.shape}")
-    if rank_tol(A, tol) < d.c:
+    if (A_inv := _inverse_at_tol(A, tol)) is None:
         raise InvalidPointError("from_chart: frame matrix is singular at tolerance")
-    return _assemble_from_chart(m, d.b1, d.b2, d.e, A, n, d.c)
+    return _assemble_from_chart(m, d.b1, d.b2, d.e, A, A_inv, n, d.c)
 
 
-def _assemble_from_chart(m, b1, b2, e, A, n, c_base) -> HirzADHM:
-    """Chart assembly formulas without validity checks (shared with tests)."""
+def _assemble_from_chart(m, b1, b2, e, A, A_inv, n, c_base) -> HirzADHM:
+    """Chart assembly formulas from the frame A and A^-1, without validity checks."""
     ap = angle_pair(c_base, m)
     c = b1.shape[0]
     ident = np.eye(c)
     a1 = A @ (ap.cos_val * b1 + ap.sin_val * ident)
     a2 = A @ (-ap.sin_val * b1 + ap.cos_val * ident)
-    dmat = b2 @ np.linalg.inv(A)
+    dmat = b2 @ A_inv
     cs = reconstruct_C(b1, dmat, m, n, c_base)
-    return hirz_adhm(n, c, a1, a2, cs, e)
+    return HirzADHM(n=n, c=c, A1=a1, A2=a2, C=cs, e=e)
 
 
 def _stair(f, g, n: int) -> np.ndarray:
@@ -536,7 +544,7 @@ def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL
     moved = plane_mod.transition_plane(plane_part(cc), cc.m, l, cc.n, cc.c, tol)
     ap = angle_pair(cc.c, cc.m - l)
     f = ap.cos_val * np.eye(cc.c) - ap.sin_val * cc.B
-    return chart_coords(l, cc.n, cc.c, moved.b1, moved.b2, moved.e, cc.A2m @ f)
+    return ChartCoords(m=l, n=cc.n, c=cc.c, B=moved.b1, E=moved.b2, e=moved.e, A2m=cc.A2m @ f)
 
 
 @_memoized

@@ -9,6 +9,7 @@ the companion matrix of a dehomogenization chosen for stability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -71,27 +72,34 @@ def freeze(a) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _field_names(cls):
+    """The init fields of a dataclass and the array fields among them, read once per class."""
+    init = [f for f in fields(cls) if f.init]
+    return tuple(f.name for f in init), tuple(f.name for f in init if f.type not in ("int", int))
+
+
 class _ArrayValue:
     """Base of the frozen dataclasses that hold arrays (declared with eq=False).
 
     Every init field not annotated int holds a matrix, a covector or a tuple
     of matrices, stored as read-only complex128 copies however the value is
-    built: through its factory, its constructor, dataclasses.replace or
-    unpickling, which goes through the constructor.  == is exact equality
-    field by field; values stay unhashable.
+    built: through its factory (which checks outside input), its constructor
+    (which library code calls on values it built from checked ones),
+    dataclasses.replace or unpickling, which goes through the constructor.
+    == is exact equality field by field; values stay unhashable.
     """
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.init and f.type not in ("int", int):
-                v = getattr(self, f.name)
-                object.__setattr__(self, f.name, tuple(map(freeze, v)) if isinstance(v, tuple)
-                                   else freeze(v))
+        for name in _field_names(self.__class__)[1]:
+            v = getattr(self, name)
+            object.__setattr__(self, name, tuple(map(freeze, v)) if isinstance(v, tuple)
+                               else freeze(v))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+        pairs = ((getattr(self, k), getattr(other, k)) for k in _field_names(self.__class__)[0])
         return all(
             len(a) == len(b) and all(map(np.array_equal, a, b)) if isinstance(a, tuple)
             else np.array_equal(a, b)
@@ -99,7 +107,7 @@ class _ArrayValue:
         )
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        return self.__class__, tuple(getattr(self, k) for k in _field_names(self.__class__)[0])
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
@@ -129,6 +137,27 @@ def rank_tol(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+
+
+def _inverse_at_tol(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """m^-1 when rank_tol(m, tol) counts the square matrix m full rank, else None.
+
+    The one invertibility gate.  |m|_F |m^-1|_F bounds cond_2(m) from above,
+    so a computed product of at most min(1e-3 / rank_rel_tol, 1e8) certifies
+    full rank without an SVD; the margin and the cap absorb the rounding in
+    the inverse and in the singular values.  Otherwise rank_tol decides, and
+    a LinAlgError from inv on a matrix it counts full rank propagates.
+    """
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is not None and (np.vdot(m, m).real * np.vdot(inv, inv).real  # squared norms
+                            <= min(1e-3 / tol.rank_rel_tol, 1e8) ** 2):
+        return inv
+    if rank_tol(m, tol) < m.shape[0]:
+        return None
+    return np.linalg.inv(m) if inv is None else inv
 
 
 def kernel_basis(m, tol: ToleranceConfig = DEFAULT_TOL, scale=None) -> np.ndarray:
@@ -209,8 +238,8 @@ def mats_close(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return rel_err(x, y) <= tol.eq_rel_tol
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+@dataclass(frozen=True, eq=False)
+class BinaryForm(_ArrayValue):
     """Homogeneous form sum_p coeffs[p] * nu1^(degree-p) * nu2^p."""
 
     degree: int
@@ -227,7 +256,7 @@ def binary_form(coeffs) -> BinaryForm:
         raise ShapeError("binary_form: need at least one coefficient")
     if not np.isfinite(c).all():
         raise ShapeError("binary_form: coefficients must be finite")
-    return BinaryForm(degree=int(c.size - 1), coeffs=freeze(c))
+    return BinaryForm(degree=int(c.size - 1), coeffs=c)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,10 @@ from .linalg import (
     as_covector,
     as_matrix,
     _ArrayValue,
+    _inverse_at_tol,
     freeze,
     kernel_basis,
     mats_close,
-    rank_tol,
 )
 from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport
 from .sigma import angle_pair
@@ -134,10 +134,9 @@ def act_gl(d: PlaneADHM, phi, tol: ToleranceConfig = DEFAULT_TOL) -> PlaneADHM:
     phi = as_matrix(phi, "phi")
     if phi.shape != (d.c, d.c):
         raise ShapeError(f"act_gl: phi must be {d.c} x {d.c}, got {phi.shape}")
-    if rank_tol(phi, tol) < d.c:
+    if (phi_inv := _inverse_at_tol(phi, tol)) is None:
         raise InvalidPointError("act_gl: gauge matrix is singular at tolerance")
-    phi_inv = np.linalg.inv(phi)
-    return plane_adhm(phi @ d.b1 @ phi_inv, phi @ d.b2 @ phi_inv, d.e @ phi_inv)
+    return PlaneADHM(c=d.c, b1=phi @ d.b1 @ phi_inv, b2=phi @ d.b2 @ phi_inv, e=d.e @ phi_inv)
 
 
 def from_points(points, tol: ToleranceConfig = DEFAULT_TOL) -> PlaneADHM:
@@ -202,14 +201,14 @@ def transition_plane(
     ap = angle_pair(c_base, m - l)
     ident = np.eye(d.c)
     f = ap.cos_val * ident - ap.sin_val * d.b1
-    if rank_tol(f, tol) < d.c:
+    if _inverse_at_tol(f, tol) is None:
         raise DomainError(
             f"transition_plane: overlap condition fails between charts {m} and {l}: "
             f"det(c*1 - s*b1) = {np.linalg.det(f):.6e}"
         )
     new_b1 = np.linalg.solve(f, ap.sin_val * ident + ap.cos_val * d.b1)
     new_b2 = np.linalg.matrix_power(f, n) @ d.b2
-    return plane_adhm(new_b1, new_b2, d.e)
+    return PlaneADHM(c=d.c, b1=new_b1, b2=new_b2, e=d.e)
 
 
 def _monomial_covectors(d: PlaneADHM, max_degree: int):
@@ -258,8 +257,7 @@ def canonical_form(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL):
 
     Returns (canonical PlaneADHM, gauge matrix).
     """
-    rep = validate_plane(d, tol)
-    if not rep.passed:
+    if not validate_plane(d, tol).passed:
         raise InvalidPointError("canonical_form: input is not a valid plane triple")
     gauge = _monomial_gauge(d, tol)
     return act_gl(d, gauge, tol), freeze(gauge)

@@ -95,7 +95,7 @@ def _gen_hirz(rng, n, c, tol):
     d0 = _gen_plane(rng, c, tol)
     frame = random_well_conditioned(rng, c)
     m = int(rng.integers(0, c + 2)) % (c + 1)
-    d = hirz_mod._assemble_from_chart(m, d0.b1, d0.b2, d0.e, frame, n, c)
+    d = hirz_mod._assemble_from_chart(m, d0.b1, d0.b2, d0.e, frame, np.linalg.inv(frame), n, c)
     phi1 = random_well_conditioned(rng, c)
     phi2 = random_well_conditioned(rng, c)
     return hirz_mod.act_gl2(d, phi1, phi2, tol)
@@ -424,7 +424,8 @@ def _prop_hirz_p3_oracle(ctx, i, n, c, seed):
         e[int(rng.integers(0, c))] = 0.0  # a joint eigenvector inside ker(e)
         frame = random_well_conditioned(rng, c)
         m = int(rng.integers(0, c + 1))
-        d = hirz_mod._assemble_from_chart(m, np.diag(z), np.diag(w), e, frame, n, c)
+        d = hirz_mod._assemble_from_chart(m, np.diag(z), np.diag(w), e, frame,
+                                          np.linalg.inv(frame), n, c)
         expected = "fail"
     else:
         d = ctx.hirz(n, c, seed)

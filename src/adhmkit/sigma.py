@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .linalg import _ArrayValue
 
 __all__ = ["AnglePair", "angle_pair", "SigmaMatrix", "sigma_matrix"]
 
@@ -70,12 +71,13 @@ def _angle_pair(c_base: int, m: int) -> AnglePair:
     return AnglePair(c_base=c_base, m=m, cos_val=cos_val, sin_val=sin_val)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaMatrix:
     h: int
     m: int
     c_base: int
     entries: np.ndarray  # (h+1, h+1) real, row p / column q
+    __eq__ = _ArrayValue.__eq__  # exact, entry by entry; unhashable
 
 
 def sigma_matrix(h: int, m: int, c_base: int) -> SigmaMatrix:

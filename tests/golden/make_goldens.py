@@ -61,6 +61,7 @@ def main():
         np.diag([3.0 + 0j, 4.0]),
         np.array([1.0 + 0j, 0.0]),
         np.eye(2, dtype=complex),
+        np.eye(2, dtype=complex),
         1,
         2,
     )

@@ -201,7 +201,7 @@ def test_criterion_06_costability_two_methods_agree():
         e = np.ones(c, dtype=complex)
         e[i % c] = 0.0  # kill co-stability at exactly one support root
         d = hirz_mod._assemble_from_chart(0, np.diag(z), np.diag(w), e,
-                                          np.eye(c, dtype=complex), n, c)
+                                          np.eye(c, dtype=complex), np.eye(c), n, c)
         chart_v = validate_p3(d).check("costability").verdict
         direct_v = validate_p3_direct(d).check("costability_direct").verdict
         if chart_v != "fail" or direct_v != "fail":

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import pickle
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from adhmkit import geometry, serialize
 from adhmkit import hirz as hirz_mod
+from adhmkit import linalg as linalg_mod
 from adhmkit.errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
 from adhmkit.hirz import (
     act_gl2,
@@ -27,8 +29,8 @@ from adhmkit.hirz import (
     validate_p3,
     validate_p3_direct,
 )
-from adhmkit.linalg import DEFAULT_TOL, ToleranceConfig, rank_tol, rel_err
-from adhmkit.plane import from_points, plane_adhm
+from adhmkit.linalg import DEFAULT_TOL, ToleranceConfig, random_well_conditioned, rank_tol, rel_err
+from adhmkit.plane import act_gl, from_points, plane_adhm, transition_plane
 from adhmkit.propsuite import GenConfig, gen_hirz_valid
 from adhmkit.sigma import angle_pair
 
@@ -398,10 +400,32 @@ def test_validation_report_per_tolerance():
 
 
 def _values():
-    """One value of each array-holding type."""
+    """kind -> (value, writable arrays its caller passed in), one per way the library builds one.
+
+    hirz is built by act_gl2 (the generator's last step), chart by to_chart
+    and plane by plane_part; the other kinds name the operation that built
+    them.  Every one goes straight to its dataclass constructor.
+    """
     d = gen_hirz_valid(GenConfig(seed=52, n=2, c=3))
     cc = to_chart(d, chart_set(d)[0])
-    return {"hirz": d, "chart": cc, "plane": plane_part(cc)}
+    p = plane_part(cc)
+    rng = np.random.default_rng(52)
+    g1, g2, frame = (random_well_conditioned(rng, 3) for _ in range(3))
+    l = (cc.m + 1) % 4
+    return {
+        "hirz": (d, ()),
+        "act_gl2": (act_gl2(d, g1, g2), (g1, g2)),
+        "from_chart": (from_chart(cc.m, p, frame, d.n), (frame,)),
+        "chart": (cc, ()),
+        "transition_omega": (transition_omega(cc, l), ()),
+        "plane": (p, ()),
+        "act_gl": (act_gl(p, g1), (g1,)),
+        "transition_plane": (transition_plane(p, cc.m, l, d.n, d.c), ()),
+    }
+
+
+KINDS = ["hirz", "act_gl2", "from_chart", "chart", "transition_omega", "plane", "act_gl",
+         "transition_plane"]
 
 
 def _writable_fields(x):
@@ -424,9 +448,9 @@ def _arrays(values):
             yield v
 
 
-@pytest.mark.parametrize("kind", ["hirz", "chart", "plane"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_value_equality_is_exact_and_values_are_unhashable(kind):
-    x = _values()[kind]
+    x, _ = _values()[kind]
     twin = type(x)(**_writable_fields(x))
     assert not any(a is b for a, b in zip(_arrays(vars(x).values()), _arrays(vars(twin).values())))
     assert twin == x and not twin != x
@@ -440,18 +464,47 @@ def test_value_equality_is_exact_and_values_are_unhashable(kind):
         hash(x)
 
 
-@pytest.mark.parametrize("kind", ["hirz", "chart", "plane"])
-def test_value_arrays_are_read_only_copies_on_every_route(kind):
-    x = _values()[kind]
+@pytest.mark.parametrize("kind", KINDS)
+def test_value_arrays_are_read_only_copies_on_every_route(kind, monkeypatch):
+    x, caller = _values()[kind]
+    assert all(not a.flags.writeable and a.dtype == np.complex128 for a in _arrays(vars(x).values()))
+    assert not any(np.shares_memory(a, b) for a in _arrays(vars(x).values()) for b in caller)
     kwargs = _writable_fields(x)
+    reflections = _count_calls(monkeypatch, linalg_mod, "fields")
     built = type(x)(**kwargs)
     for y in (built, dataclasses.replace(built), pickle.loads(pickle.dumps(built))):
         assert y == x
         arrays = list(_arrays(vars(y).values()))
         assert all(not a.flags.writeable and a.dtype == np.complex128 for a in arrays)
+    assert reflections == []  # field names are read once per class
     for a in _arrays(kwargs.values()):  # the caller's arrays stay the caller's to change
         a += 1.0
     assert built == x
+
+
+@pytest.mark.parametrize("kind", ["hirz", "chart", "plane"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "shape"])
+def test_factories_reject_non_finite_entries_and_bad_shapes(kind, bad):
+    x, _ = _values()[kind]
+    factory, args = {
+        "hirz": lambda: (hirz_adhm, (x.n, x.c, x.A1, x.A2, x.C, x.e)),
+        "chart": lambda: (chart_coords, (x.m, x.n, x.c, x.B, x.E, x.e, x.A2m)),
+        "plane": lambda: (plane_adhm, (x.b1, x.b2, x.e)),
+    }[kind]()
+    assert factory(*args) == x
+
+    def spoil(a):
+        if bad == "shape":
+            return a[:-1]
+        a = np.array(a)
+        a.flat[0] = bad
+        return a
+
+    for i, a in enumerate(args):
+        if isinstance(a, (np.ndarray, tuple)):
+            spoilt = (spoil(a[0]), *a[1:]) if isinstance(a, tuple) else spoil(a)
+            with pytest.raises(ShapeError):
+                factory(*args[:i], spoilt, *args[i + 1:])
 
 
 def test_factories_copy_each_caller_array():
@@ -521,10 +574,13 @@ def test_memo_shares_positional_keyword_and_default_tol(monkeypatch):
     d = gen_hirz_valid(GenConfig(seed=56, n=2, c=3))
     m = chart_set(d)[0]
     bodies = _count_calls(monkeypatch, hirz_mod, "_pencil_at")
+    binds = _count_calls(monkeypatch, inspect.Signature, "bind")
     cc = to_chart(d, m)
     assert to_chart(d, m, DEFAULT_TOL) is cc
+    assert binds == []  # positional calls fill in the defaults without binding
     assert to_chart(d, m, tol=DEFAULT_TOL) is cc
     assert to_chart(d, m=m) is cc
+    assert len(binds) == 2
     assert to_chart(d, m, ToleranceConfig()) is cc  # equal tolerances share an entry
     assert len(bodies) == 1
     tight = ToleranceConfig(rank_rel_tol=1e-12)

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from adhmkit import linalg
 from adhmkit.errors import DomainError, InvalidPointError, ShapeError
-from adhmkit.hirz import to_chart, validate_hirz
+from adhmkit.hirz import act_gl2, from_chart, hirz_adhm, to_chart, validate_hirz
 from adhmkit.linalg import (
     DEFAULT_TOL,
     BinaryForm,
@@ -23,7 +26,8 @@ from adhmkit.linalg import (
     rank_tol,
     rel_err,
 )
-from adhmkit.propsuite import GenConfig, gen_hirz_valid
+from adhmkit.plane import act_gl, plane_adhm, transition_plane
+from adhmkit.propsuite import GenConfig, gen_hirz_valid, gen_plane_valid
 from adhmkit.sigma import angle_pair
 
 
@@ -124,6 +128,21 @@ def test_binary_form_eval():
     # f(v1, v2) = 2 v1^2 + 3 v1 v2 + v2^2
     assert abs(f(1.0, 1.0) - 6.0) < 1e-14
     assert abs(f(2.0, -1.0) - 3.0) < 1e-14
+
+
+def test_binary_form_equality_is_exact_and_forms_are_unhashable():
+    coeffs = np.array([1.0, 2.0, 3.0])
+    f = binary_form(coeffs)
+    coeffs[0] = 5.0  # the form holds its own read-only copy
+    assert f.coeffs.dtype == np.complex128 and not f.coeffs.flags.writeable
+    for twin in (binary_form([1, 2, 3]), dataclasses.replace(f, coeffs=f.coeffs.copy()),
+                 pickle.loads(pickle.dumps(f))):
+        assert twin == f and not twin != f
+    assert binary_form([1, 2, 3 + 1e-15]) != f
+    assert binary_form([1, 2, 3, 0]) != f
+    assert f != "not a form"
+    with pytest.raises(TypeError):
+        hash(f)
 
 
 def test_binary_form_roots_frozen_cases():
@@ -283,3 +302,95 @@ def test_cluster_roots_matches_loop_on_tight_clusters_and_poles(seed):
     clusters = linalg._cluster_roots(points, tol)
     assert len(clusters) == len(centers)
     assert sum(k for _, k in clusters) == len(points)
+
+
+def _haar(rng, c):
+    return np.linalg.qr(rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))[0]
+
+
+def _with_condition(rng, c, cond):
+    """U diag(s) V* with log-spaced singular values from 1 down to 1 / cond."""
+    return (_haar(rng, c) * np.logspace(0, -np.log10(cond), c)) @ _haar(rng, c).conj().T
+
+
+def _zero_column(rng, c):
+    m = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
+    m[:, 0] = 0.0  # inv raises LinAlgError at the first pivot
+    return m
+
+
+def _gate_grid():
+    rng = np.random.default_rng(2026)
+    mats = [random_well_conditioned(rng, c) for c in range(1, 33)]
+    mats += [_with_condition(rng, c, cond) for c in (2, 3, 6, 12)
+             for cond in np.logspace(2, 14, 25)]
+    mats += [_zero_column(rng, c) for c in (1, 2, 5, 16)]
+    return mats
+
+
+@pytest.mark.parametrize("rel", [1e-4, 1e-9, 1e-13])
+def test_inverse_gate_agrees_with_rank_tol(rel):
+    tol = ToleranceConfig(rank_rel_tol=rel)
+    decided = set()
+    for m in _gate_grid():
+        inv = linalg._inverse_at_tol(m, tol)
+        full = rank_tol(m, tol) == m.shape[0]
+        assert (inv is not None) == full
+        if full:
+            assert np.array_equal(inv, np.linalg.inv(m))
+        decided.add(full)
+    assert decided == {True, False}  # the grid straddles the cut
+
+
+def test_inverse_gate_skips_the_svd_when_the_inverse_certifies(monkeypatch):
+    rng = np.random.default_rng(7)
+    mats = [random_well_conditioned(rng, c) for c in range(1, 33)]
+    svds = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or real(*a, **k))
+    assert all(linalg._inverse_at_tol(m) is not None for m in mats)
+    assert svds == []
+    assert linalg._inverse_at_tol(_with_condition(rng, 4, 1e12)) is None
+    assert len(svds) == 1
+
+
+def test_inverse_gate_lets_linalg_error_through_on_full_rank(monkeypatch):
+    def failing(m):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg._inverse_at_tol(np.eye(3, dtype=complex))
+    assert linalg._inverse_at_tol(np.zeros((3, 3), dtype=complex)) is None
+
+
+def _singular_inputs(c):
+    """An exactly singular matrix (inv raises) and one of condition 1e12 (inv succeeds)."""
+    rng = np.random.default_rng(c)
+    return [_zero_column(rng, c), _with_condition(rng, c, 1e12)]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_inverse_gate_callers_raise_as_before_on_singular_input(which):
+    d = gen_hirz_valid(GenConfig(seed=44, n=2, c=3))
+    p = gen_plane_valid(GenConfig(seed=10, c=3))
+    good = random_well_conditioned(np.random.default_rng(1), 3)
+    bad = _singular_inputs(3)[which]
+    msg = "act_gl2: gauge matrix is singular at tolerance"
+    for phi1, phi2 in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(InvalidPointError, match=f"^{msg}$"):
+            act_gl2(d, phi1, phi2)
+    with pytest.raises(InvalidPointError, match="^act_gl: gauge matrix is singular at tolerance$"):
+        act_gl(p, bad)
+    with pytest.raises(InvalidPointError,
+                       match="^from_chart: frame matrix is singular at tolerance$"):
+        from_chart(0, p, bad, 2)
+    # chart 0 has A2m = A2; the transition 1 -> 0 at c_base = 1 has F = -b1
+    d0 = hirz_adhm(1, 3, np.eye(3), bad, (np.eye(3),), np.ones(3))
+    with pytest.raises(DomainError) as err:
+        to_chart(d0, 0)
+    assert str(err.value) == f"to_chart: chart 0 unavailable: det(A2m) = {np.linalg.det(bad):.6e}"
+    with pytest.raises(DomainError) as err:
+        transition_plane(plane_adhm(bad, np.eye(3), np.ones(3)), 1, 0, 1, 1)
+    assert str(err.value) == ("transition_plane: overlap condition fails between charts 1 and 0: "
+                              f"det(c*1 - s*b1) = {np.linalg.det(-bad):.6e}")

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -136,3 +138,17 @@ def test_type_checks_run_before_the_caches():
         sigma_matrix(2.0, 0, 3)
     with pytest.raises(DomainError, match="m must be an integer"):
         sigma_matrix(2, 0.0, 3)
+
+
+def test_sigma_matrix_equality_is_exact_and_values_are_unhashable():
+    s = sigma_matrix(2, 1, 3)
+    for twin in (dataclasses.replace(s, entries=s.entries.copy()), pickle.loads(pickle.dumps(s))):
+        assert twin == s and not twin != s
+    entries = s.entries.copy()
+    entries[0, 0] += 1e-15
+    assert dataclasses.replace(s, entries=entries) != s
+    assert dataclasses.replace(s, m=-1) != s
+    assert s != sigma_matrix(2, 1, 4) and s != "not a sigma matrix"
+    assert s.entries.dtype == np.float64 and not s.entries.flags.writeable
+    with pytest.raises(TypeError):
+        hash(s)

@@ -23,6 +23,7 @@ from .linalg import (
     BinaryForm,
     ToleranceConfig,
     _cluster_roots,
+    _memoized,
     as_matrix,
     binary_form,
     eigenvalues,
@@ -76,7 +77,7 @@ class YTildePoint:
 
 def _c1_point(who, n, y1, y2, a1, a2, k, relation):
     """Checks shared by the c = 1 models: n >= 1, (y1, y2) != 0, a1 y1^k = a2 y2^k."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"{who}: n must be a positive integer, got {n!r}")
     if y1 == 0 and y2 == 0:
         raise InvalidPointError(f"{who}: (y1, y2) must not both vanish")
@@ -139,7 +140,7 @@ def _chart_base_roots(cc, tol: ToleranceConfig) -> tuple:
     return _cluster_roots(points, tol.root_cluster_tol)
 
 
-@hirz_mod._memoized
+@_memoized
 def base_support(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> SupportMultiset:
     """Roots of det(lam2 A1 + lam1 A2) with multiplicity, for a valid point.
 
@@ -185,7 +186,7 @@ def chart_support(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> Su
     The base roots are base_support's, read at chart_set[0]; when m is that
     chart, roots and pairs come off one to_chart call.
     """
-    first = _require_valid(d, tol, "base_support").chart_set[0]  # the roots are base_support's
+    first = _require_valid(d, tol, "chart_support").chart_set[0]
     cc = to_chart(d, m, tol)
     base = _chart_base_roots(cc if m == first else to_chart(d, first, tol), tol)
     pairs = plane_mod.joint_spectrum(hirz_mod.plane_part(cc), tol)
@@ -216,7 +217,7 @@ def ytilde_to_p1(p: YTildePoint, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> 
     On |y1| >= |y2| the C-stack is C_q = (y2/y1)^(n-q) x2; otherwise
     C_q = (y1/y2)^(q-1) x1.  Ties take the first branch.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"ytilde_to_p1: n must be a positive integer, got {n!r}")
     p = ytilde_point(p.y1, p.y2, p.x1, p.x2, n)  # re-check relation at this n
     if abs(p.y1) >= abs(p.y2):

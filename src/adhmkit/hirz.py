@@ -20,20 +20,19 @@ where D is the binomial contraction of the C_q at angle m.  Since the
 degree-c pencil determinant cannot vanish at all c+1 distinct chart angles
 unless it is identically zero, every nondegenerate point owns a chart.
 
-Every derived value of a point (its P1 and P2 reports, full validation
-report, chart coordinates, canonical form, and geometry.base_support) is a
-pure function of the point and its arguments.  A point holds read-only
-copies of its arrays however it is built, so those values are memoized on
-the point, computed once per argument tuple and tolerance.  A copy made by
+Every derived value of a point (its P2 report, full validation report,
+chart coordinates, canonical form, and geometry.base_support) is a pure
+function of the point and its arguments.  A point holds read-only copies of
+its arrays however it is built, so those values are memoized on the point
+by linalg._memoized, computed once per argument tuple and tolerance; P1 is
+read back through validate_hirz's report.  A copy made by
 dataclasses.replace or by unpickling starts with an empty memo.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +50,13 @@ from .linalg import (
     as_matrix,
     _ArrayValue,
     _inverse_at_tol,
+    _memoized,
     kernel_basis,
     mats_close,
     rank_tol,
 )
 from .plane import PlaneADHM
-from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport, merge
+from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport, _residual_check, merge
 from .sigma import angle_pair, sigma_matrix
 
 __all__ = [
@@ -93,48 +93,6 @@ class HirzADHM(_ArrayValue):
     A2: np.ndarray
     C: tuple
     e: np.ndarray
-    # derived values by (function, arguments)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _memoized(fn):
-    """Memoize fn(d, ...) in d._memo, one entry per argument tuple.
-
-    The key holds every argument after d with its default applied and its
-    exact type, so f(d, m), f(d, m, DEFAULT_TOL) and f(d, m, tol=DEFAULT_TOL)
-    share one entry, while f(d, 1.0) never returns f(d, 1)'s value; the
-    defaults are read once, so only calls with keywords bind fn's signature.
-    Only returned values are stored, so a call that raised raises again.
-    Unhashable arguments and unbindable calls go straight to fn.
-    """
-    sig = inspect.signature(fn)
-    params = tuple(sig.parameters.values())[1:]
-    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
-    defaults = tuple(p.default for p in params)
-    required = sum(p.default is p.empty for p in params)
-
-    @functools.wraps(fn)
-    def memoized(d, *args, **kwargs):
-        if kwargs or not required <= len(args) <= len(params):
-            try:
-                bound = sig.bind(d, *args, **kwargs)
-            except TypeError:
-                return fn(d, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
-        else:
-            args += defaults[len(args):]
-        key = (memoized, *((type(v), v) for v in args))
-        try:
-            return d._memo[key]
-        except KeyError:
-            pass
-        except TypeError:  # unhashable argument
-            return fn(d, *args)
-        value = d._memo[key] = fn(d, *args)
-        return value
-
-    return memoized
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +108,14 @@ class ChartCoords(_ArrayValue):
 
 def hirz_adhm(n, c, A1, A2, C, e) -> HirzADHM:
     """Build a HirzADHM value after shape/finiteness checks (no validation)."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"hirz_adhm: n must be a positive integer, got {n!r}")
     if n > _MAX_TWIST:
         raise ShapeError(f"hirz_adhm: n = {n} exceeds supported maximum {_MAX_TWIST}")
     A1 = as_matrix(A1, "A1")
     A2 = as_matrix(A2, "A2")
     e = as_covector(e, "e")
-    if not isinstance(c, int) or c < 1:
+    if type(c) is not int or c < 1:
         raise DomainError(f"hirz_adhm: c must be a positive integer, got {c!r}")
     if A1.shape != (c, c) or A2.shape != (c, c) or e.shape != (c,):
         raise ShapeError(
@@ -173,9 +131,9 @@ def hirz_adhm(n, c, A1, A2, C, e) -> HirzADHM:
 
 
 def chart_coords(m, n, c, B, E, e, A2m) -> ChartCoords:
-    if not isinstance(m, int) or not 0 <= m <= c:
+    if type(m) is not int or not 0 <= m <= c:
         raise ShapeError(f"chart_coords: chart index m={m!r} outside 0..{c}")
-    if not isinstance(n, int) or n < 1 or n > _MAX_TWIST:
+    if type(n) is not int or n < 1 or n > _MAX_TWIST:
         raise ShapeError(f"chart_coords: bad twist n={n!r}")
     B = as_matrix(B, "B")
     E = as_matrix(E, "E")
@@ -198,7 +156,6 @@ def _pencil_at(d: HirzADHM, m: int):
     return a1m, a2m
 
 
-@_memoized
 def validate_p1(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
     """Intertwining relations, one check per matrix equation.
 
@@ -210,32 +167,19 @@ def validate_p1(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
         rhs = d.A2 @ d.C[0] @ d.A1
         scale = 2 * np.linalg.norm(d.A1) * np.linalg.norm(d.C[0]) * np.linalg.norm(d.A2)
         resid = float(np.linalg.norm(lhs - rhs) / scale) if scale > 0 else 0.0
-        checks.append(Check(
-            name="intertwine",
-            verdict=PASS if resid <= tol.eq_rel_tol else FAIL,
-            residual=resid,
-            detail="A1 C1 A2 = A2 C1 A1",
-        ))
+        checks.append(_residual_check("intertwine", resid, tol.eq_rel_tol, "A1 C1 A2 = A2 C1 A1"))
     else:
         for q in range(d.n - 1):
             left = d.A1 @ d.C[q] - d.A2 @ d.C[q + 1]
             sl = (np.linalg.norm(d.A1) * np.linalg.norm(d.C[q])
                   + np.linalg.norm(d.A2) * np.linalg.norm(d.C[q + 1]))
             rl = float(np.linalg.norm(left) / sl) if sl > 0 else 0.0
-            checks.append(Check(
-                name=f"intertwine_left_{q + 1}",
-                verdict=PASS if rl <= tol.eq_rel_tol else FAIL,
-                residual=rl,
-                detail=f"A1 C{q + 1} = A2 C{q + 2}",
-            ))
+            checks.append(_residual_check(f"intertwine_left_{q + 1}", rl, tol.eq_rel_tol,
+                                          f"A1 C{q + 1} = A2 C{q + 2}"))
             right = d.C[q] @ d.A1 - d.C[q + 1] @ d.A2
             rr = float(np.linalg.norm(right) / sl) if sl > 0 else 0.0
-            checks.append(Check(
-                name=f"intertwine_right_{q + 1}",
-                verdict=PASS if rr <= tol.eq_rel_tol else FAIL,
-                residual=rr,
-                detail=f"C{q + 1} A1 = C{q + 2} A2",
-            ))
+            checks.append(_residual_check(f"intertwine_right_{q + 1}", rr, tol.eq_rel_tol,
+                                          f"C{q + 1} A1 = C{q + 2} A2"))
     return ValidationReport(checks=tuple(checks))
 
 
@@ -443,7 +387,7 @@ def to_chart(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCo
     Requires m in the chart set.  D is the binomial contraction of the C_q
     at the chart angle and E = D A2m.
     """
-    if not isinstance(m, int):
+    if type(m) is not int:
         raise DomainError(f"to_chart: chart index m must be an integer, got {m!r}")
     if not 0 <= m <= d.c:
         raise DomainError(f"to_chart: chart index {m} outside 0..{d.c}")
@@ -469,7 +413,7 @@ def reconstruct_C(B, D, m: int, n: int, c_base: int):
     """
     B = as_matrix(B, "B")
     D = as_matrix(D, "D")
-    if not isinstance(n, int) or n < 1 or n > _MAX_TWIST:
+    if type(n) is not int or n < 1 or n > _MAX_TWIST:
         raise DomainError(f"reconstruct_C: bad twist n={n!r}")
     sig = sigma_matrix(n - 1, m, c_base).entries
     powers = [np.eye(B.shape[0], dtype=np.complex128)]
@@ -523,7 +467,7 @@ def syst_rank(A1, A2, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """
     A1 = as_matrix(A1, "A1")
     A2 = as_matrix(A2, "A2")
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise DomainError(f"syst_rank: need n >= 2, got {n!r}")
     c = A1.shape[0]
     if A1.shape != (c, c) or A2.shape != (c, c):
@@ -537,7 +481,7 @@ def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL
     A2l = A2m (cos_{m-l} 1 - sin_{m-l} B); requires the overlap condition
     det(cos_{m-l} 1 - sin_{m-l} B) != 0.
     """
-    if not isinstance(l, int):
+    if type(l) is not int:
         raise DomainError(f"transition_omega: chart index l must be an integer, got {l!r}")
     if not 0 <= l <= cc.c:
         raise DomainError(f"transition_omega: chart index {l} outside 0..{cc.c}")

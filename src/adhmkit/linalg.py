@@ -10,6 +10,7 @@ the companion matrix of a dehomogenization chosen for stability.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, fields
 
@@ -36,8 +37,6 @@ __all__ = [
     "proj_point",
     "proj_distance",
 ]
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,9 @@ class _ArrayValue:
     built: through its factory (which checks outside input), its constructor
     (which library code calls on values it built from checked ones),
     dataclasses.replace or unpickling, which goes through the constructor.
-    == is exact equality field by field; values stay unhashable.
+    == is exact equality field by field; values stay unhashable.  Each value
+    starts with an empty _memo for _memoized; it is not a field, so it is
+    never compared, shown or pickled.
     """
 
     def __post_init__(self):
@@ -95,6 +96,7 @@ class _ArrayValue:
             v = getattr(self, name)
             object.__setattr__(self, name, tuple(map(freeze, v)) if isinstance(v, tuple)
                                else freeze(v))
+        object.__setattr__(self, "_memo", {})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -108,6 +110,46 @@ class _ArrayValue:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, k) for k in _field_names(self.__class__)[0])
+
+
+def _memoized(fn):
+    """Memoize fn(d, ...) in d._memo, one entry per argument tuple.
+
+    The key holds every argument after d with its default applied and its
+    exact type, so f(d, m), f(d, m, DEFAULT_TOL) and f(d, m, tol=DEFAULT_TOL)
+    share one entry, while f(d, 1.0) never returns f(d, 1)'s value; the
+    defaults are read once, so only calls with keywords bind fn's signature.
+    Only returned values are stored, so a call that raised raises again.
+    Unhashable arguments and unbindable calls go straight to fn.
+    """
+    sig = inspect.signature(fn)
+    params = tuple(sig.parameters.values())[1:]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    defaults = tuple(p.default for p in params)
+    required = sum(p.default is p.empty for p in params)
+
+    @functools.wraps(fn)
+    def memoized(d, *args, **kwargs):
+        if kwargs or not required <= len(args) <= len(params):
+            try:
+                bound = sig.bind(d, *args, **kwargs)
+            except TypeError:
+                return fn(d, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        else:
+            args += defaults[len(args):]
+        key = (memoized, *((type(v), v) for v in args))
+        try:
+            return d._memo[key]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable argument
+            return fn(d, *args)
+        value = d._memo[key] = fn(d, *args)
+        return value
+
+    return memoized
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:

@@ -28,11 +28,12 @@ from .linalg import (
     as_matrix,
     _ArrayValue,
     _inverse_at_tol,
+    _memoized,
     freeze,
     kernel_basis,
     mats_close,
 )
-from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport
+from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport, _residual_check
 from .sigma import angle_pair
 
 __all__ = [
@@ -99,25 +100,22 @@ def _stable_subspace_dim(b1, b2, e, tol: ToleranceConfig) -> int:
     return v.shape[1]
 
 
+@_memoized
 def validate_plane(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
-    """Check commutation and co-stability.
+    """Check commutation and co-stability, once per triple and tolerance.
 
-    Co-stability is refused (verdict ``indeterminate``) when commutation
-    already fails beyond tolerance, since the subspace iteration is only
-    meaningful for commuting pairs.
+    Co-stability is refused (verdict ``indeterminate``) unless commutation
+    passes, since the subspace iteration is only meaningful for commuting
+    pairs.
     """
-    rel = _commutator_rel(d.b1, d.b2)
-    t1 = Check(
-        name="commutation",
-        verdict=PASS if rel <= tol.eq_rel_tol else FAIL,
-        residual=rel if np.isfinite(rel) else None,
-        detail="[b1, b2] relative to |b1||b2|",
-    )
+    t1 = _residual_check("commutation", _commutator_rel(d.b1, d.b2), tol.eq_rel_tol,
+                         "[b1, b2] relative to |b1||b2|")
     if t1.verdict != PASS:
         t2 = Check(
             name="costability",
             verdict=INDETERMINATE,
-            detail="refused: commutation fails beyond tolerance",
+            detail="refused: commutation fails beyond tolerance" if t1.verdict == FAIL
+            else "refused: commutation is not certified",
         )
     else:
         dim = _stable_subspace_dim(d.b1, d.b2, d.e, tol)
@@ -196,7 +194,7 @@ def transition_plane(
     The atlas base size c_base enters only through the angle denominator;
     it is global atlas data, independent of the matrix size.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"transition_plane: n must be a positive integer, got {n!r}")
     ap = angle_pair(c_base, m - l)
     ident = np.eye(d.c)

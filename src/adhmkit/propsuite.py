@@ -637,7 +637,7 @@ def run_suite(seed=2026, max_n=3, max_c=6, samples=100, name_filter=None,
     keeps properties whose name contains the given substring.
     """
     for label, v in (("max_n", max_n), ("max_c", max_c), ("samples", samples)):
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise DomainError(f"run_suite: {label} must be an integer, got {v!r}")
     if max_n < 1 or max_c < 1 or samples < 0:
         raise DomainError(

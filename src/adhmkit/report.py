@@ -9,6 +9,7 @@ refused because commutativity already failed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 PASS = "pass"
@@ -64,6 +65,16 @@ class ValidationReport:
         if self.chart_set is not None:
             out["chart_set"] = list(self.chart_set)
         return out
+
+
+def _residual_check(name: str, residual: float, bound: float, detail: str) -> Check:
+    """Pass iff residual <= bound.  A residual that is not finite (the
+    arithmetic overflowed on finite input) certifies nothing, so its verdict
+    is indeterminate and no residual is reported."""
+    if not math.isfinite(residual):
+        return Check(name=name, verdict=INDETERMINATE, detail=f"{detail} (residual is not finite)")
+    return Check(name=name, verdict=PASS if residual <= bound else FAIL, residual=residual,
+                 detail=detail)
 
 
 def merge(*reports: ValidationReport) -> ValidationReport:

@@ -54,9 +54,9 @@ def angle_pair(c_base: int, m: int) -> AnglePair:
     Pairs are cached by exact argument type once the arguments pass the
     type checks.
     """
-    if not isinstance(c_base, int) or c_base < 1:
+    if type(c_base) is not int or c_base < 1:
         raise DomainError(f"angle_pair: c_base must be a positive integer, got {c_base!r}")
-    if not isinstance(m, int):
+    if type(m) is not int:
         raise DomainError(f"angle_pair: m must be an integer, got {m!r}")
     return _angle_pair(c_base, m)
 
@@ -89,7 +89,7 @@ def sigma_matrix(h: int, m: int, c_base: int) -> SigmaMatrix:
     read-only entries are cached by (h, angle pair) once the arguments pass
     the type checks.
     """
-    if not isinstance(h, int) or h < 0:
+    if type(h) is not int or h < 0:
         raise DomainError(f"sigma_matrix: order h must be a nonnegative integer, got {h!r}")
     if h > _MAX_ORDER:
         raise DomainError(f"sigma_matrix: order {h} exceeds supported maximum {_MAX_ORDER}")

@@ -11,6 +11,7 @@ import pytest
 from adhmkit import cli
 from adhmkit.hirz import chart_coords, hirz_adhm
 from adhmkit.plane import plane_adhm
+from adhmkit.propsuite import GenConfig, gen_hirz_valid
 from adhmkit.serialize import dumps, load_path, loads
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -56,6 +57,20 @@ def test_validate_indeterminate_pencil(capsys, tmp_path):
     code, payload = run(capsys, "validate", str(path))
     assert code == 2
     assert payload["passed"] is False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
+def test_validate_overflowing_residual_is_indeterminate(capsys, tmp_path):
+    # the intertwining residuals overflow to inf / inf = nan on this finite input
+    d = gen_hirz_valid(GenConfig(seed=3, n=2, c=3))
+    s = 1e160
+    big = hirz_adhm(d.n, d.c, d.A1 * s, d.A2 * s, tuple(x * s for x in d.C), d.e)
+    path = tmp_path / "big.json"
+    path.write_text(dumps(big))
+    code, payload = run(capsys, "validate", str(path))
+    assert code == 2
+    assert payload["passed"] is False and payload["indeterminate"] is True
+    assert all("residual" not in c for c in payload["checks"] if c["verdict"] != "pass")
 
 
 def test_validate_p3_method_both(capsys):

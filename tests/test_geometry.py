@@ -83,8 +83,11 @@ def test_base_support_requires_valid_point():
     from adhmkit.hirz import hirz_adhm
     cs = list(np.array(x) for x in d.C)
     cs[0] = cs[0] + 1.0
-    with pytest.raises(InvalidPointError):
-        base_support(hirz_adhm(d.n, d.c, d.A1, d.A2, tuple(cs), d.e))
+    bad = hirz_adhm(d.n, d.c, d.A1, d.A2, tuple(cs), d.e)
+    with pytest.raises(InvalidPointError, match="^base_support: input is not a valid point$"):
+        base_support(bad)
+    with pytest.raises(InvalidPointError, match="^chart_support: input is not a valid point$"):
+        chart_support(bad, 0)
 
 
 def test_spectrum_vs_pencil_on_generated_points():

@@ -8,6 +8,7 @@ import pytest
 from adhmkit import geometry, serialize
 from adhmkit import hirz as hirz_mod
 from adhmkit import linalg as linalg_mod
+from adhmkit import plane as plane_mod
 from adhmkit.errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
 from adhmkit.hirz import (
     act_gl2,
@@ -30,7 +31,7 @@ from adhmkit.hirz import (
     validate_p3_direct,
 )
 from adhmkit.linalg import DEFAULT_TOL, ToleranceConfig, random_well_conditioned, rank_tol, rel_err
-from adhmkit.plane import act_gl, from_points, plane_adhm, transition_plane
+from adhmkit.plane import PlaneADHM, act_gl, from_points, plane_adhm, transition_plane
 from adhmkit.propsuite import GenConfig, gen_hirz_valid
 from adhmkit.sigma import angle_pair
 
@@ -427,6 +428,11 @@ def _values():
 KINDS = ["hirz", "act_gl2", "from_chart", "chart", "transition_omega", "plane", "act_gl",
          "transition_plane"]
 
+# the memoized validation of each kind of value that has one, and the step
+# its body runs once per computation
+MEMOIZED = {hirz_mod.HirzADHM: (validate_hirz, hirz_mod, "merge"),
+            PlaneADHM: (plane_mod.validate_plane, plane_mod, "_commutator_rel")}
+
 
 def _writable_fields(x):
     """x's constructor arguments by name, each array a writable copy."""
@@ -472,10 +478,22 @@ def test_value_arrays_are_read_only_copies_on_every_route(kind, monkeypatch):
     kwargs = _writable_fields(x)
     reflections = _count_calls(monkeypatch, linalg_mod, "fields")
     built = type(x)(**kwargs)
-    for y in (built, dataclasses.replace(built), pickle.loads(pickle.dumps(built))):
+    assert built._memo == {}
+    if type(x) in MEMOIZED:  # read-only arrays make the memo sound: one body per tolerance
+        validate, module, body = MEMOIZED[type(x)]
+        bodies = _count_calls(monkeypatch, module, body)
+        report = validate(built)
+        assert validate(built, DEFAULT_TOL) is report is validate(built, tol=ToleranceConfig())
+        tight = ToleranceConfig(rank_rel_tol=1e-12)
+        other = validate(built, tight)
+        assert other is not report and validate(built, tol=tight) is other
+        assert len(bodies) == 2 and built._memo
+    copies = (dataclasses.replace(built), pickle.loads(pickle.dumps(built)))
+    for y in (built, *copies):
         assert y == x
         arrays = list(_arrays(vars(y).values()))
         assert all(not a.flags.writeable and a.dtype == np.complex128 for a in arrays)
+    assert all(y._memo == {} for y in copies)  # a copy starts with an empty memo
     assert reflections == []  # field names are read once per class
     for a in _arrays(kwargs.values()):  # the caller's arrays stay the caller's to change
         a += 1.0

@@ -28,26 +28,18 @@ import sys
 import numpy as np
 
 from . import geometry, hirz, plane, serialize
-from .errors import (
-    ADHMKitError,
-    DomainError,
-    IndeterminateError,
-    InvalidPointError,
-    ParseError,
-    ShapeError,
-)
+from .errors import ADHMKitError, ParseError
 from .linalg import DEFAULT_TOL
-from .report import merge
+from .report import FAIL, INDETERMINATE, PASS, merge
 from .sigma import sigma_matrix
 
 _TOL_KEYS = {"rank": "rank_rel_tol", "eq": "eq_rel_tol", "root": "root_cluster_tol"}
 
 
-class _CliError(Exception):
+class _CliError(ADHMKitError):
     def __init__(self, kind, detail):
         super().__init__(detail)
         self.kind = kind
-        self.detail = detail
 
 
 def _emit(payload, out_path):
@@ -100,38 +92,31 @@ def _resolve_tol(args):
         raise _CliError("config", f"bad tolerance: {exc}") from exc
 
 
-def _report_exit(report):
-    if any(chk.verdict == "fail" for chk in report.checks):
-        return 1
-    if report.indeterminate:
-        return 2
-    return 0
-
-
 _POINT = (hirz.HirzADHM, "surface point")
 _PLANE = (plane.PlaneADHM, "plane triple")
 _CHART = (hirz.ChartCoords, "chart coordinates")
 _YTILDE = (geometry.YTildePoint, "hypersurface point")
+_EXIT = {PASS: 0, FAIL: 1, INDETERMINATE: 2}  # exit code of a report's verdict
 
 
 def _cmd_validate(args, tol, d):
     report = hirz.validate_hirz(d, tol)
+    pre = hirz._preconditions(report)
     if args.p3_method == "direct":
-        report = dataclasses.replace(
-            report, checks=tuple(c for c in report.checks if c.name != "costability"))
-    if args.p3_method in ("direct", "both"):
+        report = pre
+    if args.p3_method != "chart" and pre.passed:
         report = merge(report, hirz.validate_p3_direct(d, tol))
-    return report.to_json(), _report_exit(report)
+    return report.to_json(), _EXIT[report.verdict]
 
 
 def _cmd_validate_plane(args, tol, d):
     report = plane.validate_plane(d, tol)
-    return report.to_json(), _report_exit(report)
+    return report.to_json(), _EXIT[report.verdict]
 
 
 def _cmd_chart_set(args, tol, d):
     report = hirz.validate_p2(d, tol)
-    return {"charts": list(report.chart_set or ())}, _report_exit(report)
+    return {"charts": list(report.chart_set or ())}, _EXIT[report.verdict]
 
 
 def _cmd_to_chart(args, tol, d):
@@ -327,22 +312,10 @@ def main(argv=None) -> int:
         _emit(payload, args.out)
         return code
     except ParseError as exc:
-        _emit({"error": "parse", "path": exc.path, "detail": exc.detail}, None)
-        return 2
-    except _CliError as exc:
-        _emit({"error": exc.kind, "path": None, "detail": exc.detail}, None)
-        return 2
-    except (ShapeError, DomainError, InvalidPointError, IndeterminateError) as exc:
-        kind = {
-            ShapeError: "shape",
-            DomainError: "domain",
-            InvalidPointError: "invalid_point",
-            IndeterminateError: "indeterminate",
-        }[type(exc)]
-        _emit({"error": kind, "path": None, "detail": str(exc)}, None)
+        _emit({"error": exc.kind, "path": exc.path, "detail": exc.detail}, None)
         return 2
     except ADHMKitError as exc:
-        _emit({"error": "internal", "path": None, "detail": str(exc)}, None)
+        _emit({"error": exc.kind, "path": None, "detail": str(exc)}, None)
         return 2
     except Exception as exc:  # never leak a traceback through the CLI
         _emit({"error": "internal", "path": None, "detail": f"{type(exc).__name__}: {exc}"}, None)

@@ -123,13 +123,6 @@ def pencil_form(A1, A2) -> BinaryForm:
     return binary_form(np.fft.fft(values) / (c + 1))
 
 
-def _require_valid(d: HirzADHM, tol: ToleranceConfig, who: str):
-    rep = hirz_mod.validate_hirz(d, tol)
-    if not rep.passed:
-        raise InvalidPointError(f"{who}: input is not a valid point")
-    return rep
-
-
 def _chart_base_roots(cc, tol: ToleranceConfig) -> tuple:
     """Base roots read off chart coordinates: the eigenvalues of B, carried
     back through the chart angle (the inverse of _root_to_fibre_coordinate)
@@ -150,7 +143,7 @@ def base_support(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> SupportMult
     large c; pencil_form stays the independent witness.  The support is
     memoized on the point, one per tolerance.
     """
-    m = _require_valid(d, tol, "base_support").chart_set[0]
+    m = hirz_mod.validate_hirz(d, tol).require("base_support").chart_set[0]
     return SupportMultiset(base=_chart_base_roots(to_chart(d, m, tol), tol))
 
 
@@ -186,7 +179,7 @@ def chart_support(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> Su
     The base roots are base_support's, read at chart_set[0]; when m is that
     chart, roots and pairs come off one to_chart call.
     """
-    first = _require_valid(d, tol, "chart_support").chart_set[0]
+    first = hirz_mod.validate_hirz(d, tol).require("chart_support").chart_set[0]
     cc = to_chart(d, m, tol)
     base = _chart_base_roots(cc if m == first else to_chart(d, first, tol), tol)
     pairs = plane_mod.joint_spectrum(hirz_mod.plane_part(cc), tol)
@@ -243,7 +236,7 @@ def p1_to_tot(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> TotPoint:
     """
     if d.c != 1:
         raise ShapeError(f"p1_to_tot: only c = 1 points project, got c = {d.c}")
-    _require_valid(d, tol, "p1_to_tot")
+    hirz_mod.validate_hirz(d, tol).require("p1_to_tot")
     e = complex(d.e[0])
     y1 = complex(d.A1[0, 0]) / e
     y2 = complex(d.A2[0, 0]) / e

@@ -51,6 +51,7 @@ from .linalg import (
     _ArrayValue,
     _inverse_at_tol,
     _memoized,
+    binary_form_roots,
     kernel_basis,
     mats_close,
     rank_tol,
@@ -230,13 +231,17 @@ def _costability_at(d: HirzADHM, m: int, tol: ToleranceConfig) -> Check:
     )
 
 
+def _preconditions(full: ValidationReport) -> ValidationReport:
+    """The P1 and P2 part of a validate_hirz report: every check but co-stability."""
+    return ValidationReport(checks=full.checks[:-1], chart_set=full.chart_set)
+
+
 def _p3_ready(d: HirzADHM, tol: ToleranceConfig, who: str) -> ValidationReport:
-    """validate_hirz's memoized report, once P1 passes and the chart set is non-empty."""
+    """validate_hirz's memoized report, once its P1 and P2 part passes."""
     full = validate_hirz(d, tol)
-    if not all(chk.passed for chk in full.checks if chk.name.startswith("intertwine")):
-        raise InvalidPointError(f"{who}: intertwining relations fail")
-    if not full.chart_set:
-        raise InvalidPointError(f"{who}: empty chart set (pencil degenerate)")
+    p1 = ValidationReport(checks=full.checks[:-2])
+    _preconditions(full).require(who, "intertwining relations fail" if p1.verdict == FAIL
+                                 else "empty chart set (pencil degenerate)")
     return full
 
 
@@ -263,8 +268,7 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
     verdict itself never reads the chart-route co-stability check.
     """
     _p3_ready(d, tol, "validate_p3_direct")
-    from .geometry import pencil_form  # deferred to avoid a module cycle
-    from .linalg import binary_form_roots
+    from .geometry import pencil_form  # deferred: geometry imports this module
 
     swapped = pencil_form(d.A2, d.A1)  # det(lam1 A2 + lam2 A1) as a form in (lam1, lam2)
     roots = binary_form_roots(swapped, tol)
@@ -320,15 +324,10 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
         else:
             checks.append(Check(name=name, verdict=PASS,
                                 detail=f"weight constraint unsatisfiable at {where}"))
-    if any(c.verdict == FAIL for c in checks):
-        overall = FAIL
-    elif any(c.verdict == INDETERMINATE for c in checks):
-        overall = INDETERMINATE
-    else:
-        overall = PASS
-    summary = Check(name="costability_direct", verdict=overall,
+    roots_report = ValidationReport(checks=tuple(checks))
+    summary = Check(name="costability_direct", verdict=roots_report.verdict,
                     detail=f"{len(roots)} distinct pencil roots examined")
-    return ValidationReport(checks=(summary,) + tuple(checks))
+    return ValidationReport(checks=(summary,) + roots_report.checks)
 
 
 @_memoized
@@ -431,8 +430,7 @@ def from_chart(m: int, d: PlaneADHM, A, n: int, tol: ToleranceConfig = DEFAULT_T
     comes from reconstruct_C with D = b2 A^-1; then to_chart at m returns
     (b1, b2, e; A).
     """
-    if not plane_mod.validate_plane(d, tol).passed:
-        raise InvalidPointError("from_chart: plane data is not valid")
+    plane_mod.validate_plane(d, tol).require("from_chart", "plane data is not valid")
     A = as_matrix(A, "A")
     if A.shape != (d.c, d.c):
         raise ShapeError(f"from_chart: frame must be {d.c} x {d.c}, got {A.shape}")
@@ -500,10 +498,7 @@ def canonicalize(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL):
     A2m = 1 and e = (1, 0, ..., 0).  The validity verdict is validate_hirz's
     report, reused when the point was validated before at this tolerance.
     """
-    full = validate_hirz(d, tol)
-    if not full.passed:
-        raise InvalidPointError("canonicalize: input is not a valid point")
-    m = full.chart_set[0]
+    m = validate_hirz(d, tol).require("canonicalize").chart_set[0]
     _, a2m = _pencil_at(d, m)
     d1 = act_gl2(d, np.eye(d.c), np.linalg.inv(a2m), tol)
     gauge = plane_mod._monomial_gauge(plane_part(to_chart(d1, m, tol)), tol)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, InvalidPointError, ShapeError
+from .errors import InvalidPointError, ShapeError
 
 __all__ = [
     "ToleranceConfig",
@@ -392,20 +392,18 @@ def binary_form_roots(f: BinaryForm, tol: ToleranceConfig = DEFAULT_TOL):
     return _cluster_roots(points[:, ::-1] if flip else points, tol.root_cluster_tol)
 
 
-def random_well_conditioned(rng, c, spread=16.0) -> np.ndarray:
-    """Random invertible c x c matrix with condition number at most spread.
+def random_well_conditioned(rng, c) -> np.ndarray:
+    """Random invertible c x c matrix with condition number at most 16.
 
     Built as U diag(s) V* with Haar-ish unitary factors and log-uniform
     singular values, so the conditioning bound holds by construction rather
     than by rejection.  Useful wherever roundoff amplification must stay
     bounded (gauge draws in randomized identity checks).
     """
-    if spread < 1.0:
-        raise DomainError("random_well_conditioned: spread must be >= 1")
     # the real and imaginary parts of U's seed matrix, then of V's: one draw
     # and one stacked QR give the same bits as four draws and two QR calls
     z = rng.normal(size=(2, 2, c, c))
     u, v = np.linalg.qr(z[:, 0] + 1j * z[:, 1])[0]
-    half = np.sqrt(spread)
+    half = np.sqrt(16.0)  # singular values in [1/4, 4]: the condition bound
     s = np.exp(rng.uniform(np.log(1.0 / half), np.log(half), size=c))
     return (u * s) @ v.conj().T

@@ -78,6 +78,11 @@ def _commutator_rel(b1, b2) -> float:
     return float(np.linalg.norm(comm) / scale)
 
 
+def _commutation_check(d: PlaneADHM, tol: ToleranceConfig) -> Check:
+    return _residual_check("commutation", _commutator_rel(d.b1, d.b2), tol.eq_rel_tol,
+                           "[b1, b2] relative to |b1||b2|")
+
+
 def _stable_subspace_dim(b1, b2, e, tol: ToleranceConfig) -> int:
     """Dimension of the largest (b1, b2)-invariant subspace inside ker(e).
 
@@ -108,8 +113,7 @@ def validate_plane(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Validati
     passes, since the subspace iteration is only meaningful for commuting
     pairs.
     """
-    t1 = _residual_check("commutation", _commutator_rel(d.b1, d.b2), tol.eq_rel_tol,
-                         "[b1, b2] relative to |b1||b2|")
+    t1 = _commutation_check(d, tol)
     if t1.verdict != PASS:
         t2 = Check(
             name="costability",
@@ -167,8 +171,8 @@ def joint_spectrum(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL):
     through eigenvectors, which mix where two pairs collide under t.
     Returns (beta, eps) pairs sorted by (real, imag) of each component.
     """
-    if _commutator_rel(d.b1, d.b2) > tol.eq_rel_tol:
-        raise InvalidPointError("joint_spectrum: matrices do not commute at tolerance")
+    ValidationReport(checks=(_commutation_check(d, tol),)).require(
+        "joint_spectrum", "matrices do not commute at tolerance")
     beta = np.linalg.eigvals(d.b1)
     eps = np.linalg.eigvals(d.b2)
     mu = np.linalg.eigvals(d.b1 + _PAIRING_T * d.b2)
@@ -255,8 +259,7 @@ def canonical_form(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL):
 
     Returns (canonical PlaneADHM, gauge matrix).
     """
-    if not validate_plane(d, tol).passed:
-        raise InvalidPointError("canonical_form: input is not a valid plane triple")
+    validate_plane(d, tol).require("canonical_form", "input is not a valid plane triple")
     gauge = _monomial_gauge(d, tol)
     return act_gl(d, gauge, tol), freeze(gauge)
 

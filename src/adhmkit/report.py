@@ -5,12 +5,19 @@ A report is a tuple of named checks, each carrying a verdict (``pass``,
 human-readable detail string.  ``indeterminate`` marks checks whose verdict
 could not be certified numerically (for example a co-stability test that was
 refused because commutativity already failed).
+
+A report's verdict is ``fail`` when any check fails, else ``indeterminate``
+when any check is, else ``pass``; ``require`` turns it into the exception an
+operation that needs a valid input raises, so a failing check gives
+``InvalidPointError`` and an uncertified one ``IndeterminateError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .errors import IndeterminateError, InvalidPointError
 
 PASS = "pass"
 FAIL = "fail"
@@ -49,6 +56,21 @@ class ValidationReport:
     @property
     def indeterminate(self) -> bool:
         return any(c.verdict == INDETERMINATE for c in self.checks)
+
+    @property
+    def verdict(self) -> str:
+        verdicts = {c.verdict for c in self.checks}
+        return FAIL if FAIL in verdicts else INDETERMINATE if INDETERMINATE in verdicts else PASS
+
+    def require(self, who: str, what: str = "input is not a valid point") -> ValidationReport:
+        """The report itself when it passes; otherwise raise for caller ``who``."""
+        verdict = self.verdict
+        if verdict == FAIL:
+            raise InvalidPointError(f"{who}: {what}")
+        if verdict == INDETERMINATE:
+            names = ", ".join(c.name for c in self.checks if c.verdict == INDETERMINATE)
+            raise IndeterminateError(f"{who}: cannot certify {names}")
+        return self
 
     def check(self, name: str) -> Check:
         for c in self.checks:

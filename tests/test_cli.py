@@ -57,6 +57,12 @@ def test_validate_indeterminate_pencil(capsys, tmp_path):
     code, payload = run(capsys, "validate", str(path))
     assert code == 2
     assert payload["passed"] is False
+    # its chart set is empty but its pencil is not certainly degenerate, so
+    # the commands that need a valid point refuse it as uncertified
+    for command in ("support", "support --m 0", "canonical", "hilbert-chow"):
+        name, *opts = command.split()
+        code, payload = run(capsys, name, str(path), *opts)
+        assert code == 2 and payload["error"] == "indeterminate", (command, payload)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
@@ -73,10 +79,23 @@ def test_validate_overflowing_residual_is_indeterminate(capsys, tmp_path):
     assert all("residual" not in c for c in payload["checks"] if c["verdict"] != "pass")
 
 
-def test_validate_p3_method_both(capsys):
-    for name in ("hirz_valid_n1c1.json", "hirz_valid_n2c2.json"):
-        code, payload = run(capsys, "validate", g(name), "--p3-method", "both")
-        assert code == 0
+def _failing_conditions(payload):
+    # the direct route reports co-stability as costability_direct plus one check per root
+    return {"costability" if c["name"].startswith(("costability", "root_")) else c["name"]
+            for c in payload["checks"] if c["verdict"] == "fail"}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("hirz_*.json")))
+def test_validate_p3_method_both(capsys, name):
+    # every co-stability route gives the same exit code and the same failing conditions
+    outcomes = {}
+    for method in ("chart", "direct", "both"):
+        code, payload = run(capsys, "validate", g(name), "--p3-method", method)
+        assert "error" not in payload, payload
+        outcomes[method] = code, _failing_conditions(payload)
+    assert outcomes["direct"] == outcomes["both"] == outcomes["chart"], outcomes
+    assert outcomes["chart"][0] == (1 if name.startswith("hirz_bad") else 0)
+    if outcomes["both"][0] == 0:  # payload is the last run, "both"
         names = [c["name"] for c in payload["checks"]]
         assert "costability" in names and "costability_direct" in names
         assert len(names) == len(set(names)), names

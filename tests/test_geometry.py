@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from adhmkit import geometry
 from adhmkit import hirz as hirz_mod
-from adhmkit.errors import DomainError, InvalidPointError, ShapeError
+from adhmkit.errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
 from adhmkit.geometry import (
     base_support,
     chart_support,
@@ -15,7 +17,16 @@ from adhmkit.geometry import (
     ytilde_point,
     ytilde_to_p1,
 )
-from adhmkit.hirz import act_gl2, chart_set, from_chart, validate_hirz
+from adhmkit.hirz import (
+    act_gl2,
+    canonicalize,
+    chart_set,
+    from_chart,
+    orbit_equal,
+    validate_hirz,
+    validate_p3,
+    validate_p3_direct,
+)
 from adhmkit.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -23,8 +34,8 @@ from adhmkit.linalg import (
     proj_distance,
     proj_point,
 )
-from adhmkit.plane import from_points, joint_spectrum
-from adhmkit.propsuite import GenConfig, gen_hirz_valid
+from adhmkit.plane import canonical_form, from_points, joint_spectrum, orbit_equal_plane, plane_adhm
+from adhmkit.propsuite import GenConfig, gen_hirz_valid, gen_plane_valid
 
 
 def test_pencil_form_frozen_diagonal():
@@ -78,16 +89,75 @@ def test_base_support_multiplicity():
     assert proj_distance(pt, proj_point(-1.0, 1.0)) < 1e-6
 
 
-def test_base_support_requires_valid_point():
+def _broken_point():
     d = gen_hirz_valid(GenConfig(seed=70, n=2, c=2))
-    from adhmkit.hirz import hirz_adhm
     cs = list(np.array(x) for x in d.C)
     cs[0] = cs[0] + 1.0
-    bad = hirz_adhm(d.n, d.c, d.A1, d.A2, tuple(cs), d.e)
-    with pytest.raises(InvalidPointError, match="^base_support: input is not a valid point$"):
-        base_support(bad)
-    with pytest.raises(InvalidPointError, match="^chart_support: input is not a valid point$"):
-        chart_support(bad, 0)
+    return hirz_mod.hirz_adhm(d.n, d.c, d.A1, d.A2, tuple(cs), d.e)
+
+
+def _scaled_point(s):
+    d = gen_hirz_valid(GenConfig(seed=3, n=1, c=3))
+    return hirz_mod.hirz_adhm(d.n, d.c, d.A1 * s, d.A2 * s, tuple(x * s for x in d.C), d.e)
+
+
+def _scaled_triple(s):
+    d = gen_plane_valid(GenConfig(seed=3, c=3))
+    return plane_adhm(d.b1 * s, d.b2 * s, d.e)
+
+
+def _pencil_below_noise():
+    # P1 passes; the chart set is empty, but the pencil is not certainly zero
+    a1 = np.diag([1.0 + 0j, 1e-20])
+    return hirz_mod.hirz_adhm(1, 2, a1, 2.0 * a1, (np.eye(2, dtype=complex),),
+                              np.ones(2, dtype=complex))
+
+
+_NON_COMMUTING = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+# call -> (who raises, its message on a failing input, the call on one input)
+_POINT_CALLS = {
+    "base_support": ("base_support", "input is not a valid point", base_support),
+    "chart_support": ("chart_support", "input is not a valid point", lambda d: chart_support(d, 0)),
+    "canonicalize": ("canonicalize", "input is not a valid point", canonicalize),
+    "orbit_equal": ("canonicalize", "input is not a valid point", lambda d: orbit_equal(d, d)),
+    "validate_p3": ("validate_p3", "intertwining relations fail", validate_p3),
+    "validate_p3_direct": ("validate_p3_direct", "intertwining relations fail",
+                           validate_p3_direct),
+}
+_TRIPLE_CALLS = {
+    "from_chart": ("from_chart", "plane data is not valid",
+                   lambda t: from_chart(0, t, np.eye(t.c), 2)),
+    "canonical_form": ("canonical_form", "input is not a valid plane triple", canonical_form),
+    "orbit_equal_plane": ("canonical_form", "input is not a valid plane triple",
+                          lambda t: orbit_equal_plane(t, t)),
+    "joint_spectrum": ("joint_spectrum", "matrices do not commute at tolerance", joint_spectrum),
+}
+# input -> (whether a check fails, rather than being uncertified; the input)
+_POINTS = {
+    "broken": (True, _broken_point),
+    "pencil_below_noise": (False, _pencil_below_noise),
+    "scaled_1e100": (False, lambda: _scaled_point(1e100)),
+}
+_TRIPLES = {
+    "non_commuting": (True, lambda: plane_adhm(*_NON_COMMUTING, np.ones(2))),
+    "scaled_1e100": (False, lambda: _scaled_triple(1e100)),
+    "scaled_1e160": (False, lambda: _scaled_triple(1e160)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
+@pytest.mark.parametrize("call,data", [(c, k) for c in _POINT_CALLS for k in _POINTS]
+                         + [(c, k) for c in _TRIPLE_CALLS for k in _TRIPLES])
+def test_requires_valid_point(call, data):
+    # a failing check refuses the input as invalid; an uncertified one as indeterminate
+    calls, inputs = (_POINT_CALLS, _POINTS) if call in _POINT_CALLS else (_TRIPLE_CALLS, _TRIPLES)
+    who, what, fn = calls[call]
+    fails, make = inputs[data]
+    error, pattern = ((InvalidPointError, f"^{who}: {re.escape(what)}$") if fails
+                      else (IndeterminateError, f"^{who}: "))
+    with pytest.raises(error, match=pattern):
+        fn(make())
 
 
 def test_spectrum_vs_pencil_on_generated_points():

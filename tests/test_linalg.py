@@ -192,10 +192,8 @@ def test_mats_close_and_rel_err():
 def test_random_well_conditioned_bound():
     rng = np.random.default_rng(5)
     for c in (1, 2, 4, 6):
-        g = random_well_conditioned(rng, c, spread=16.0)
+        g = random_well_conditioned(rng, c)
         assert np.linalg.cond(g) <= 16.0 + 1e-9
-    with pytest.raises(DomainError):
-        random_well_conditioned(rng, 2, spread=0.5)
 
 
 def _two_call_haar(rng, c, spread=16.0):

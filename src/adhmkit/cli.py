@@ -196,8 +196,7 @@ def _cmd_syst_rank(args, tol, d):
 def _cmd_jacobian_dim(args, tol, d):
     nullity = hirz.jacobian_nullity(d, tol)
     expected = 2 * d.c * d.c + 2 * d.c
-    return ({"nullity": nullity, "expected": expected,
-             "orbit_dim": nullity - 2 * d.c * d.c if nullity >= 2 * d.c * d.c else None},
+    return ({"nullity": nullity, "expected": expected, "orbit_dim": nullity - 2 * d.c * d.c},
             0 if nullity == expected else 1)
 
 

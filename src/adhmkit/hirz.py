@@ -451,11 +451,6 @@ def _assemble_from_chart(m, b1, b2, e, A, A_inv, n, c_base) -> HirzADHM:
     return HirzADHM(n=n, c=c, A1=a1, A2=a2, C=cs, e=e)
 
 
-def _stair(f, g, n: int) -> np.ndarray:
-    """Block rows q < n-1 holding f at column block q and -g at column block q+1."""
-    return np.kron(np.eye(n - 1, n), f) - np.kron(np.eye(n - 1, n, 1), g)
-
-
 def syst_rank(A1, A2, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of the left intertwining system as a block matrix on the C-stack.
 
@@ -470,7 +465,9 @@ def syst_rank(A1, A2, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     c = A1.shape[0]
     if A1.shape != (c, c) or A2.shape != (c, c):
         raise ShapeError("syst_rank: A1 and A2 must be square of equal size")
-    return rank_tol(_stair(np.kron(A1, np.eye(c)), np.kron(A2, np.eye(c)), n), tol)
+    eye = np.eye(c)
+    return rank_tol(np.kron(np.eye(n - 1, n), np.kron(A1, eye))
+                    - np.kron(np.eye(n - 1, n, 1), np.kron(A2, eye)), tol)
 
 
 def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCoords:
@@ -521,48 +518,27 @@ def orbit_equal(d1: HirzADHM, d2: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) 
     )
 
 
-def _jacobian(d: HirzADHM):
-    """Intertwining-residual Jacobian on (A1, A2, C_1..C_n) and its roundoff scale.
-
-    Rows hold the left family, then the right one (one relation for n = 1).
-    The scale is the size of the products the n = 1 blocks are computed
-    from; for n > 1 the blocks copy entries of A and C exactly, so it is 0.
-    """
-    c2 = d.c * d.c
-    eye = np.eye(d.c)
-    a1, a2 = d.A1, d.A2
-    if d.n == 1:
-        (c1,) = d.C
-        na1, na2, nc1 = (np.linalg.norm(x) for x in (a1, a2, c1))
-        return np.hstack([
-            np.kron(eye, (c1 @ a2).T) - np.kron(a2 @ c1, eye),
-            np.kron(a1 @ c1, eye) - np.kron(eye, (c1 @ a1).T),
-            np.kron(a1, a2.T) - np.kron(a2, a1.T),
-        ]), nc1 * (na1 + na2) + na1 * na2
-    # block q: the A1-derivative of A1 C_q (left) and of C_q A1 (right)
-    left = np.vstack([np.kron(eye, cq.T) for cq in d.C])
-    right = np.vstack([np.kron(cq, eye) for cq in d.C])
-    return np.block([
-        [left[:-c2], -left[c2:], _stair(np.kron(a1, eye), np.kron(a2, eye), d.n)],
-        [right[:-c2], -right[c2:], _stair(np.kron(eye, a1.T), np.kron(eye, a2.T), d.n)],
-    ]), 0.0
-
-
 def jacobian_nullity(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Nullity of the intertwining-residual Jacobian at the point.
+    """Nullity of the intertwining-residual Jacobian at a valid point.
 
     The ambient space stacks (A1, A2, C_1..C_n, e), complex dimension
-    (n+2)c^2 + c; e never enters the residuals, so its zero columns are not
-    built, and the other blocks follow from vec(a X b) = (a (x) b^T) vec(X).
-    Singular values above rank_rel_tol * max(s_max, scale) count toward the
-    rank, scale being the size of the matrix products in the blocks, so a
-    Jacobian of pure roundoff (it vanishes at n = c = 1) has rank 0.  The
-    cut needs a singular-value gap of at least 1e3, otherwise the verdict is
+    (n+2)c^2 + c.  On the open set of chart m the intertwining locus is
+    {[B, E] = 0} x GL(c) x C^c: the factors are the frame A2m and the
+    covector e, and the C-stack is reconstruct_C(B, E A2m^-1).  The nullity
+    is therefore 3c^2 + c - r, r being the rank of the c^2 x 2c^2 map
+    (dB, dE) -> [dB, E] + [B, dE], built from vec(a X b) = (a (x) b^T) vec(X);
+    it copies entries of B and E exactly, so it vanishes exactly at c = 1.
+    Singular values above rank_rel_tol * s_max count toward r.  The cut needs
+    a singular-value gap of at least 1e3, otherwise the verdict is
     indeterminate.
     """
-    jac, scale = _jacobian(d)
+    m = validate_hirz(d, tol).require("jacobian_nullity").chart_set[0]
+    cc = to_chart(d, m, tol)
+    eye = np.eye(d.c)
+    jac = np.hstack([np.kron(eye, cc.E.T) - np.kron(cc.E, eye),
+                     np.kron(cc.B, eye) - np.kron(eye, cc.B.T)])
     s = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.count_nonzero(s > tol.rank_rel_tol * max(s[0], scale)))
+    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
     if rank < s.size:
         kept = s[rank - 1] if rank > 0 else np.inf
         discarded = s[rank]
@@ -571,4 +547,4 @@ def jacobian_nullity(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> int:
                 f"jacobian_nullity: no clear spectral gap "
                 f"(kept {kept:.3e} / discarded {discarded:.3e} < {_GAP_MIN:.0e})"
             )
-    return (d.n + 2) * d.c * d.c + d.c - rank
+    return 3 * d.c * d.c + d.c - rank

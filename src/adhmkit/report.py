@@ -9,7 +9,9 @@ refused because commutativity already failed).
 A report's verdict is ``fail`` when any check fails, else ``indeterminate``
 when any check is, else ``pass``; ``require`` turns it into the exception an
 operation that needs a valid input raises, so a failing check gives
-``InvalidPointError`` and an uncertified one ``IndeterminateError``.
+``InvalidPointError`` and an uncertified one ``IndeterminateError``.  A check
+refused because an earlier one did not pass has a detail starting with
+``refused:``; the ``IndeterminateError`` names only the checks that caused it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ class ValidationReport:
         if verdict == FAIL:
             raise InvalidPointError(f"{who}: {what}")
         if verdict == INDETERMINATE:
-            names = ", ".join(c.name for c in self.checks if c.verdict == INDETERMINATE)
+            names = ", ".join(c.name for c in self.checks if c.verdict == INDETERMINATE
+                              and not c.detail.startswith("refused:"))
             raise IndeterminateError(f"{who}: cannot certify {names}")
         return self
 

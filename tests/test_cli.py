@@ -224,6 +224,14 @@ def test_rank_and_dimension_commands(capsys):
     assert payload["orbit_dim"] == 4
 
 
+@pytest.mark.parametrize("name", ["hirz_bad_p1.json", "hirz_bad_p2.json", "hirz_bad_p3.json"])
+def test_jacobian_dim_refuses_broken_points(capsys, name):
+    code, payload = run(capsys, "jacobian-dim", g(name))
+    assert code == 2
+    assert payload["error"] == "invalid_point"
+    assert payload["detail"] == "jacobian_nullity: input is not a valid point"
+
+
 def test_c1_pipeline(capsys, tmp_path):
     lifted = tmp_path / "lifted.json"
     code, payload = run(capsys, "c1-from-ytilde", g("ytilde_n2.json"), "--n", "2",

@@ -124,6 +124,8 @@ _POINT_CALLS = {
     "validate_p3": ("validate_p3", "intertwining relations fail", validate_p3),
     "validate_p3_direct": ("validate_p3_direct", "intertwining relations fail",
                            validate_p3_direct),
+    "jacobian_nullity": ("jacobian_nullity", "input is not a valid point",
+                         hirz_mod.jacobian_nullity),
 }
 _TRIPLE_CALLS = {
     "from_chart": ("from_chart", "plane data is not valid",
@@ -133,16 +135,16 @@ _TRIPLE_CALLS = {
                           lambda t: orbit_equal_plane(t, t)),
     "joint_spectrum": ("joint_spectrum", "matrices do not commute at tolerance", joint_spectrum),
 }
-# input -> (whether a check fails, rather than being uncertified; the input)
+# input -> (the uncertified check, None when a check fails; the input)
 _POINTS = {
-    "broken": (True, _broken_point),
-    "pencil_below_noise": (False, _pencil_below_noise),
-    "scaled_1e100": (False, lambda: _scaled_point(1e100)),
+    "broken": (None, _broken_point),
+    "pencil_below_noise": ("pencil_nondegenerate", _pencil_below_noise),
+    "scaled_1e100": ("intertwine", lambda: _scaled_point(1e100)),
 }
 _TRIPLES = {
-    "non_commuting": (True, lambda: plane_adhm(*_NON_COMMUTING, np.ones(2))),
-    "scaled_1e100": (False, lambda: _scaled_triple(1e100)),
-    "scaled_1e160": (False, lambda: _scaled_triple(1e160)),
+    "non_commuting": (None, lambda: plane_adhm(*_NON_COMMUTING, np.ones(2))),
+    "scaled_1e100": ("commutation", lambda: _scaled_triple(1e100)),
+    "scaled_1e160": ("commutation", lambda: _scaled_triple(1e160)),
 }
 
 
@@ -150,12 +152,13 @@ _TRIPLES = {
 @pytest.mark.parametrize("call,data", [(c, k) for c in _POINT_CALLS for k in _POINTS]
                          + [(c, k) for c in _TRIPLE_CALLS for k in _TRIPLES])
 def test_requires_valid_point(call, data):
-    # a failing check refuses the input as invalid; an uncertified one as indeterminate
+    # a failing check refuses the input as invalid; an uncertified one as
+    # indeterminate, naming that check and not the ones refused after it
     calls, inputs = (_POINT_CALLS, _POINTS) if call in _POINT_CALLS else (_TRIPLE_CALLS, _TRIPLES)
     who, what, fn = calls[call]
-    fails, make = inputs[data]
-    error, pattern = ((InvalidPointError, f"^{who}: {re.escape(what)}$") if fails
-                      else (IndeterminateError, f"^{who}: "))
+    cause, make = inputs[data]
+    error, pattern = ((InvalidPointError, f"^{who}: {re.escape(what)}$") if cause is None
+                      else (IndeterminateError, f"^{who}: cannot certify {cause}$"))
     with pytest.raises(error, match=pattern):
         fn(make())
 

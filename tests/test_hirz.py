@@ -312,8 +312,8 @@ def test_jacobian_nullity_frozen(n, c, want):
 
 
 def _jacobian_by_basis_loop(d):
-    # reference: one column per basis matrix of each slot, rows interleaving the
-    # left and right families, as before the Kronecker assembly
+    # reference: the full intertwining Jacobian, one column per basis matrix of
+    # each slot, rows interleaving the left and right families
     c, n = d.c, d.n
     zero = np.zeros((c, c), dtype=complex)
     cols = []
@@ -345,29 +345,38 @@ def _loop_nullity(d):
     return ambient - int(np.count_nonzero(s > DEFAULT_TOL.rank_rel_tol * s[0]))
 
 
-def test_jacobian_kron_matches_basis_loop():
+def _fat_point(k, n, m, seed):
+    # curvilinear length-k point: b1 = 0.3 + N, b2 = 2 + 3N + N^2 with N the
+    # nilpotent shift and e the dual of the first basis vector, conjugated by a
+    # well-conditioned gauge and assembled at chart m
+    rng = np.random.default_rng(seed)
+    nil = np.eye(k, k=1, dtype=complex)
+    t = plane_adhm(0.3 * np.eye(k) + nil, 2 * np.eye(k) + 3 * nil + nil @ nil, np.eye(k)[0])
+    return from_chart(m, act_gl(t, random_well_conditioned(rng, k)), random_well_conditioned(rng, k), n)
+
+
+def test_jacobian_nullity_matches_basis_loop():
     for n in (1, 2, 3):
-        for c in (1, 2, 3):
+        for c in (1, 2, 3, 4, 5):
             d = gen_hirz_valid(GenConfig(seed=70 + 10 * n + c, n=n, c=c))
-            ref = _jacobian_by_basis_loop(d)
-            if n > 1:  # group the interleaved family rows: all left, then all right
-                ref = ref.reshape(n - 1, 2, c * c, -1).transpose(1, 0, 2, 3).reshape(ref.shape)
-            jac, _ = hirz_mod._jacobian(d)
-            assert jac.shape == ref.shape
-            assert np.linalg.norm(jac - ref) <= 1e-12 * np.linalg.norm(ref)
-            assert jacobian_nullity(d) == _loop_nullity(d)
-    # at n = c = 1 the Jacobian vanishes; the loop gets an exact zero but the
-    # Kronecker products leave roundoff, which only the scale floor discards
+            assert jacobian_nullity(d) == _loop_nullity(d) == 2 * c * c + 2 * c
+            for m in (0, 1) if c > 1 else ():  # one support point of multiplicity c
+                fat = _fat_point(c, n, m, seed=10 * n + c + m)
+                assert jacobian_nullity(fat) == _loop_nullity(fat) == 2 * c * c + 2 * c
+    # at n = c = 1 both Jacobians vanish exactly
     for seed in range(200):
         d = gen_hirz_valid(GenConfig(seed=seed, n=1, c=1))
         assert jacobian_nullity(d) == _loop_nullity(d) == 4
-    # the floor has the Jacobian's units: one in the residual's units (cubic
-    # in the norms for n = 1, quadratic for n > 1) swamps its singular values
-    # once the point is scaled up, and the gap check then refuses
+    # scaled points: the rank cut is relative to the largest singular value
     for n, c, seed in ((1, 3, 5), (3, 3, 4), (2, 4, 3)):
         d0 = gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))
         d = hirz_adhm(n, c, 1e6 * d0.A1, 1e6 * d0.A2, tuple(1e6 * x for x in d0.C), d0.e)
         assert jacobian_nullity(d) == _loop_nullity(d) == 2 * c * c + 2 * c
+
+
+def test_jacobian_nullity_at_largest_supported_size():
+    d = gen_hirz_valid(GenConfig(seed=1, n=8, c=32))
+    assert jacobian_nullity(d) == 2 * 32 * 32 + 2 * 32
 
 
 def test_jacobian_orbit_dimension_quotient():

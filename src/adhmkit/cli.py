@@ -47,8 +47,13 @@ def _emit(payload, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head -1`): send the rest to devnull,
+        # so the flush at exit cannot raise and main keeps its exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _read(path):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import hirz as hirz_mod
 from . import plane as plane_mod
-from .errors import DomainError, InvalidPointError, ShapeError
+from .errors import InvalidPointError, ShapeError
 from .hirz import HirzADHM, hirz_adhm, to_chart
 from .linalg import (
     DEFAULT_TOL,
@@ -24,6 +24,8 @@ from .linalg import (
     ToleranceConfig,
     _cluster_roots,
     _memoized,
+    as_covector,
+    as_int,
     as_matrix,
     binary_form,
     eigenvalues,
@@ -77,8 +79,7 @@ class YTildePoint:
 
 def _c1_point(who, n, y1, y2, a1, a2, k, relation):
     """Checks shared by the c = 1 models: n >= 1, (y1, y2) != 0, a1 y1^k = a2 y2^k."""
-    if type(n) is not int or n < 1:
-        raise DomainError(f"{who}: n must be a positive integer, got {n!r}")
+    as_int(n, who, "n", 1)
     if y1 == 0 and y2 == 0:
         raise InvalidPointError(f"{who}: (y1, y2) must not both vanish")
     lhs = a1 * y1**k
@@ -112,10 +113,8 @@ def pencil_form(A1, A2) -> BinaryForm:
     inverse discrete Fourier transform, an exactly determined and perfectly
     conditioned interpolation.  The zero form is allowed here.
     """
-    A1 = as_matrix(A1, "A1")
-    A2 = as_matrix(A2, "A2")
-    if A1.shape != A2.shape or A1.shape[0] != A1.shape[1]:
-        raise ShapeError("pencil_form: A1, A2 must be square of equal size")
+    A1 = as_matrix(A1, "A1", "square")
+    A2 = as_matrix(A2, "A2", A1.shape)
     c = A1.shape[0]
     w = np.exp(2j * np.pi * np.arange(c + 1) / (c + 1))
     values = np.linalg.det(A1 + w[:, None, None] * A2)
@@ -192,13 +191,9 @@ def um_membership(x, m: int, c_base: int, tol: ToleranceConfig = DEFAULT_TOL) ->
     Membership means sum_p sigma^c_{m; p 0} x_p != 0; for m = 0 this is the
     usual x_0 != 0 chart of projective space.
     """
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    if x.shape[0] != c_base + 1:
-        raise ShapeError(
-            f"um_membership: expected {c_base + 1} homogeneous coordinates, got {x.shape[0]}"
-        )
-    if not np.isfinite(x).all() or np.all(x == 0):
-        raise ShapeError("um_membership: coordinates must be finite and not all zero")
+    x = as_covector(x, "x", as_int(c_base, "um_membership", "c_base", 1) + 1)
+    if np.all(x == 0):
+        raise ShapeError("um_membership: coordinates must not all vanish")
     column = sigma_matrix(c_base, m, c_base).entries[:, 0]
     value = complex(column @ x)
     return abs(value) > tol.eq_rel_tol * float(np.linalg.norm(column) * np.linalg.norm(x))
@@ -210,8 +205,7 @@ def ytilde_to_p1(p: YTildePoint, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> 
     On |y1| >= |y2| the C-stack is C_q = (y2/y1)^(n-q) x2; otherwise
     C_q = (y1/y2)^(q-1) x1.  Ties take the first branch.
     """
-    if type(n) is not int or n < 1:
-        raise DomainError(f"ytilde_to_p1: n must be a positive integer, got {n!r}")
+    as_int(n, "ytilde_to_p1", "n", 1)
     p = ytilde_point(p.y1, p.y2, p.x1, p.x2, n)  # re-check relation at this n
     if abs(p.y1) >= abs(p.y2):
         ratio = p.y2 / p.y1

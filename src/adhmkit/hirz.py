@@ -37,16 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plane as plane_mod
-from .errors import (
-    DomainError,
-    IndeterminateError,
-    InvalidPointError,
-    ShapeError,
-)
+from .errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_covector,
+    as_int,
     as_matrix,
     _ArrayValue,
     _inverse_at_tol,
@@ -109,39 +105,25 @@ class ChartCoords(_ArrayValue):
 
 def hirz_adhm(n, c, A1, A2, C, e) -> HirzADHM:
     """Build a HirzADHM value after shape/finiteness checks (no validation)."""
-    if type(n) is not int or n < 1:
-        raise DomainError(f"hirz_adhm: n must be a positive integer, got {n!r}")
-    if n > _MAX_TWIST:
-        raise ShapeError(f"hirz_adhm: n = {n} exceeds supported maximum {_MAX_TWIST}")
-    A1 = as_matrix(A1, "A1")
-    A2 = as_matrix(A2, "A2")
-    e = as_covector(e, "e")
-    if type(c) is not int or c < 1:
-        raise DomainError(f"hirz_adhm: c must be a positive integer, got {c!r}")
-    if A1.shape != (c, c) or A2.shape != (c, c) or e.shape != (c,):
-        raise ShapeError(
-            f"hirz_adhm: inconsistent shapes A1={A1.shape} A2={A2.shape} e={e.shape} for c={c}"
-        )
-    cs = tuple(as_matrix(cq, f"C[{q}]") for q, cq in enumerate(C))
+    n = as_int(n, "hirz_adhm", "n", 1, _MAX_TWIST)
+    c = as_int(c, "hirz_adhm", "c", 1)
+    A1 = as_matrix(A1, "A1", (c, c))
+    A2 = as_matrix(A2, "A2", (c, c))
+    e = as_covector(e, "e", c)
+    cs = tuple(as_matrix(cq, f"C[{q}]", (c, c)) for q, cq in enumerate(C))
     if len(cs) != n:
         raise ShapeError(f"hirz_adhm: expected {n} C-matrices, got {len(cs)}")
-    for q, cq in enumerate(cs):
-        if cq.shape != (c, c):
-            raise ShapeError(f"hirz_adhm: C[{q}] has shape {cq.shape}, expected ({c}, {c})")
     return HirzADHM(n=n, c=c, A1=A1, A2=A2, C=cs, e=e)
 
 
 def chart_coords(m, n, c, B, E, e, A2m) -> ChartCoords:
-    if type(m) is not int or not 0 <= m <= c:
-        raise ShapeError(f"chart_coords: chart index m={m!r} outside 0..{c}")
-    if type(n) is not int or n < 1 or n > _MAX_TWIST:
-        raise ShapeError(f"chart_coords: bad twist n={n!r}")
-    B = as_matrix(B, "B")
-    E = as_matrix(E, "E")
-    A2m = as_matrix(A2m, "A2m")
-    e = as_covector(e, "e")
-    if B.shape != (c, c) or E.shape != (c, c) or A2m.shape != (c, c) or e.shape != (c,):
-        raise ShapeError("chart_coords: inconsistent matrix shapes")
+    c = as_int(c, "chart_coords", "c", 1)
+    m = as_int(m, "chart_coords", "m", 0, c)
+    n = as_int(n, "chart_coords", "n", 1, _MAX_TWIST)
+    B = as_matrix(B, "B", (c, c))
+    E = as_matrix(E, "E", (c, c))
+    A2m = as_matrix(A2m, "A2m", (c, c))
+    e = as_covector(e, "e", c)
     return ChartCoords(m=m, n=n, c=c, B=B, E=E, e=e, A2m=A2m)
 
 
@@ -362,10 +344,8 @@ def act_gl2(d: HirzADHM, phi1, phi2, tol: ToleranceConfig = DEFAULT_TOL) -> Hirz
     invertibility gate runs once.
     """
     same = phi2 is phi1
-    phi1 = as_matrix(phi1, "phi1")
-    phi2 = phi1 if same else as_matrix(phi2, "phi2")
-    if phi1.shape != (d.c, d.c) or phi2.shape != (d.c, d.c):
-        raise ShapeError("act_gl2: gauge matrices must match the point size")
+    phi1 = as_matrix(phi1, "phi1", (d.c, d.c))
+    phi2 = phi1 if same else as_matrix(phi2, "phi2", (d.c, d.c))
     inv1 = _inverse_at_tol(phi1, tol)
     inv2 = inv1 if same or inv1 is None else _inverse_at_tol(phi2, tol)
     if inv2 is None:
@@ -386,10 +366,7 @@ def to_chart(d: HirzADHM, m: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCo
     Requires m in the chart set.  D is the binomial contraction of the C_q
     at the chart angle and E = D A2m.
     """
-    if type(m) is not int:
-        raise DomainError(f"to_chart: chart index m must be an integer, got {m!r}")
-    if not 0 <= m <= d.c:
-        raise DomainError(f"to_chart: chart index {m} outside 0..{d.c}")
+    as_int(m, "to_chart", "chart index m", 0, d.c)
     ap = angle_pair(d.c, m)
     a1m, a2m = _pencil_at(d, m)
     if _inverse_at_tol(a2m, tol) is None:
@@ -410,10 +387,9 @@ def reconstruct_C(B, D, m: int, n: int, c_base: int):
     C_{p+1} = sum_q sigma^{n-1}_{m; p q} B^q D.  For any D this satisfies
     A1 C_q = A2 C_{q+1}; the right family holds iff [B, D A2m] = 0.
     """
-    B = as_matrix(B, "B")
-    D = as_matrix(D, "D")
-    if type(n) is not int or n < 1 or n > _MAX_TWIST:
-        raise DomainError(f"reconstruct_C: bad twist n={n!r}")
+    B = as_matrix(B, "B", "square")
+    D = as_matrix(D, "D", B.shape)
+    as_int(n, "reconstruct_C", "n", 1, _MAX_TWIST)
     sig = sigma_matrix(n - 1, m, c_base).entries
     powers = [np.eye(B.shape[0], dtype=np.complex128)]
     for _ in range(n - 1):
@@ -430,10 +406,9 @@ def from_chart(m: int, d: PlaneADHM, A, n: int, tol: ToleranceConfig = DEFAULT_T
     comes from reconstruct_C with D = b2 A^-1; then to_chart at m returns
     (b1, b2, e; A).
     """
+    as_int(m, "from_chart", "m", 0, d.c)
     plane_mod.validate_plane(d, tol).require("from_chart", "plane data is not valid")
-    A = as_matrix(A, "A")
-    if A.shape != (d.c, d.c):
-        raise ShapeError(f"from_chart: frame must be {d.c} x {d.c}, got {A.shape}")
+    A = as_matrix(A, "A", (d.c, d.c))
     if (A_inv := _inverse_at_tol(A, tol)) is None:
         raise InvalidPointError("from_chart: frame matrix is singular at tolerance")
     return _assemble_from_chart(m, d.b1, d.b2, d.e, A, A_inv, n, d.c)
@@ -458,14 +433,10 @@ def syst_rank(A1, A2, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     (0 ... 0, A1 (x) 1, -A2 (x) 1, 0 ... 0) acting on row-major vectorized
     C-matrices; at nondegenerate pencils the rank is maximal, (n-1) c^2.
     """
-    A1 = as_matrix(A1, "A1")
-    A2 = as_matrix(A2, "A2")
-    if type(n) is not int or n < 2:
-        raise DomainError(f"syst_rank: need n >= 2, got {n!r}")
-    c = A1.shape[0]
-    if A1.shape != (c, c) or A2.shape != (c, c):
-        raise ShapeError("syst_rank: A1 and A2 must be square of equal size")
-    eye = np.eye(c)
+    A1 = as_matrix(A1, "A1", "square")
+    A2 = as_matrix(A2, "A2", A1.shape)
+    as_int(n, "syst_rank", "n", 2)
+    eye = np.eye(A1.shape[0])
     return rank_tol(np.kron(np.eye(n - 1, n), np.kron(A1, eye))
                     - np.kron(np.eye(n - 1, n, 1), np.kron(A2, eye)), tol)
 
@@ -476,10 +447,7 @@ def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL
     A2l = A2m (cos_{m-l} 1 - sin_{m-l} B); requires the overlap condition
     det(cos_{m-l} 1 - sin_{m-l} B) != 0.
     """
-    if type(l) is not int:
-        raise DomainError(f"transition_omega: chart index l must be an integer, got {l!r}")
-    if not 0 <= l <= cc.c:
-        raise DomainError(f"transition_omega: chart index {l} outside 0..{cc.c}")
+    as_int(l, "transition_omega", "chart index l", 0, cc.c)
     moved = plane_mod.transition_plane(plane_part(cc), cc.m, l, cc.n, cc.c, tol)
     ap = angle_pair(cc.c, cc.m - l)
     f = ap.cos_val * np.eye(cc.c) - ap.sin_val * cc.B

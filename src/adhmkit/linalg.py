@@ -16,12 +16,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidPointError, ShapeError
+from .errors import DomainError, InvalidPointError, ShapeError
 
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "freeze",
+    "as_int",
     "as_matrix",
     "as_covector",
     "rank_tol",
@@ -152,21 +153,39 @@ def _memoized(fn):
     return memoized
 
 
-def as_matrix(a, name="matrix") -> np.ndarray:
+def as_int(x, who, name, lo=None, hi=None) -> int:
+    """x when it is a Python int (never a bool) in lo..hi; DomainError otherwise.
+
+    The one check of integer arguments: the message names the caller ``who``,
+    the argument ``name`` and the accepted range.
+    """
+    if type(x) is not int or lo is not None and x < lo or hi is not None and x > hi:
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise DomainError(f"{who}: {name} must be an integer{bound}, got {x!r}")
+    return x
+
+
+def as_matrix(a, name="matrix", shape=None) -> np.ndarray:
+    """a as a finite complex128 matrix of the given shape, or square when
+    shape is "square"; ShapeError naming ``name`` otherwise."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or min(m.shape) < 1:
-        raise ShapeError(f"{name}: expected a 2-d matrix, got shape {m.shape}")
+    want = m.shape[:1] * 2 if shape == "square" else shape
+    if m.ndim != 2 or min(m.shape) < 1 or want is not None and m.shape != want:
+        raise ShapeError(f"{name}: expected a {shape or '2-d'} matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ShapeError(f"{name}: entries must be finite")
     return m
 
 
-def as_covector(a, name="covector") -> np.ndarray:
+def as_covector(a, name="covector", length=None) -> np.ndarray:
+    """a as a finite complex128 row (a 1 x k matrix counts), of the given
+    length when one is given; ShapeError naming ``name`` otherwise."""
     v = np.asarray(a, dtype=np.complex128)
     if v.ndim == 2 and v.shape[0] == 1:
         v = v[0]
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ShapeError(f"{name}: expected a 1-d row, got shape {v.shape}")
+    if v.ndim != 1 or v.shape[0] < 1 or length is not None and v.shape[0] != length:
+        want = "a 1-d row" if length is None else f"a row of length {length}"
+        raise ShapeError(f"{name}: expected {want}, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ShapeError(f"{name}: entries must be finite")
     return v
@@ -176,8 +195,6 @@ def rank_tol(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above rank_rel_tol * largest."""
     m = as_matrix(m, "rank_tol")
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
 
 
@@ -213,21 +230,13 @@ def kernel_basis(m, tol: ToleranceConfig = DEFAULT_TOL, scale=None) -> np.ndarra
     """
     m = as_matrix(m, "kernel_basis")
     _, s, vh = np.linalg.svd(m)
-    if scale is not None:
-        cut = tol.rank_rel_tol * scale
-    elif s.size == 0 or s[0] == 0.0:
-        cut = np.inf
-    else:
-        cut = tol.rank_rel_tol * s[0]
-    r = int(np.count_nonzero(s > cut))
+    r = int(np.count_nonzero(s > tol.rank_rel_tol * (s[0] if scale is None else scale)))
     return vh[r:].conj().T
 
 
 def eigenvalues(m) -> np.ndarray:
     """Eigenvalues with algebraic multiplicity, sorted by (real, imag)."""
-    m = as_matrix(m, "eigenvalues")
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"eigenvalues: matrix must be square, got {m.shape}")
+    m = as_matrix(m, "eigenvalues", "square")
     return np.sort_complex(np.linalg.eigvals(m))
 
 

@@ -25,6 +25,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_covector,
+    as_int,
     as_matrix,
     _ArrayValue,
     _inverse_at_tol,
@@ -59,15 +60,10 @@ class PlaneADHM(_ArrayValue):
 
 def plane_adhm(b1, b2, e) -> PlaneADHM:
     """Build a PlaneADHM value after shape/finiteness checks (no validation)."""
-    b1 = as_matrix(b1, "b1")
-    b2 = as_matrix(b2, "b2")
-    e = as_covector(e, "e")
-    c = b1.shape[0]
-    if b1.shape != (c, c) or b2.shape != (c, c) or e.shape != (c,):
-        raise ShapeError(
-            f"plane_adhm: inconsistent shapes b1={b1.shape} b2={b2.shape} e={e.shape}"
-        )
-    return PlaneADHM(c=c, b1=b1, b2=b2, e=e)
+    b1 = as_matrix(b1, "b1", "square")
+    b2 = as_matrix(b2, "b2", b1.shape)
+    e = as_covector(e, "e", b1.shape[0])
+    return PlaneADHM(c=b1.shape[0], b1=b1, b2=b2, e=e)
 
 
 def _commutator_rel(b1, b2) -> float:
@@ -133,9 +129,7 @@ def validate_plane(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Validati
 
 def act_gl(d: PlaneADHM, phi, tol: ToleranceConfig = DEFAULT_TOL) -> PlaneADHM:
     """Gauge action b_i -> phi b_i phi^-1, e -> e phi^-1."""
-    phi = as_matrix(phi, "phi")
-    if phi.shape != (d.c, d.c):
-        raise ShapeError(f"act_gl: phi must be {d.c} x {d.c}, got {phi.shape}")
+    phi = as_matrix(phi, "phi", (d.c, d.c))
     if (phi_inv := _inverse_at_tol(phi, tol)) is None:
         raise InvalidPointError("act_gl: gauge matrix is singular at tolerance")
     return PlaneADHM(c=d.c, b1=phi @ d.b1 @ phi_inv, b2=phi @ d.b2 @ phi_inv, e=d.e @ phi_inv)
@@ -198,9 +192,9 @@ def transition_plane(
     The atlas base size c_base enters only through the angle denominator;
     it is global atlas data, independent of the matrix size.
     """
-    if type(n) is not int or n < 1:
-        raise DomainError(f"transition_plane: n must be a positive integer, got {n!r}")
-    ap = angle_pair(c_base, m - l)
+    who = "transition_plane"
+    as_int(n, who, "n", 1)
+    ap = angle_pair(c_base, as_int(m, who, "m") - as_int(l, who, "l"))
     ident = np.eye(d.c)
     f = ap.cos_val * ident - ap.sin_val * d.b1
     if _inverse_at_tol(f, tol) is None:

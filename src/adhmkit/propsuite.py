@@ -26,6 +26,7 @@ from .errors import DomainError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    as_int,
     greedy_match,
     proj_distance,
     random_well_conditioned,
@@ -636,14 +637,8 @@ def run_suite(seed=2026, max_n=3, max_c=6, samples=100, name_filter=None,
     Empty ranges produce a vacuous pass with a warning.  ``name_filter``
     keeps properties whose name contains the given substring.
     """
-    for label, v in (("max_n", max_n), ("max_c", max_c), ("samples", samples)):
-        if type(v) is not int:
-            raise DomainError(f"run_suite: {label} must be an integer, got {v!r}")
-    if max_n < 1 or max_c < 1 or samples < 0:
-        raise DomainError(
-            f"run_suite: need max_n >= 1, max_c >= 1, samples >= 0 "
-            f"(got {max_n}, {max_c}, {samples})"
-        )
+    for label, v, lo in (("max_n", max_n, 1), ("max_c", max_c, 1), ("samples", samples, 0)):
+        as_int(v, "run_suite", label, lo)
     ctx = _Ctx(seed=seed, max_n=max_n, max_c=max_c, samples=samples, tol=tol)
     warning = ""
     if samples == 0:

@@ -57,7 +57,8 @@ class ValidationReport:
 
     @property
     def indeterminate(self) -> bool:
-        return any(c.verdict == INDETERMINATE for c in self.checks)
+        """Whether the verdict is indeterminate (false on a failing report)."""
+        return self.verdict == INDETERMINATE
 
     @property
     def verdict(self) -> str:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .linalg import _ArrayValue
+from .linalg import _ArrayValue, as_int
 
 __all__ = ["AnglePair", "angle_pair", "SigmaMatrix", "sigma_matrix"]
 
@@ -54,11 +53,7 @@ def angle_pair(c_base: int, m: int) -> AnglePair:
     Pairs are cached by exact argument type once the arguments pass the
     type checks.
     """
-    if type(c_base) is not int or c_base < 1:
-        raise DomainError(f"angle_pair: c_base must be a positive integer, got {c_base!r}")
-    if type(m) is not int:
-        raise DomainError(f"angle_pair: m must be an integer, got {m!r}")
-    return _angle_pair(c_base, m)
+    return _angle_pair(as_int(c_base, "angle_pair", "c_base", 1), as_int(m, "angle_pair", "m"))
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
@@ -89,10 +84,7 @@ def sigma_matrix(h: int, m: int, c_base: int) -> SigmaMatrix:
     read-only entries are cached by (h, angle pair) once the arguments pass
     the type checks.
     """
-    if type(h) is not int or h < 0:
-        raise DomainError(f"sigma_matrix: order h must be a nonnegative integer, got {h!r}")
-    if h > _MAX_ORDER:
-        raise DomainError(f"sigma_matrix: order {h} exceeds supported maximum {_MAX_ORDER}")
+    as_int(h, "sigma_matrix", "h", 0, _MAX_ORDER)
     entries = _sigma_entries(h, angle_pair(c_base, m))
     return SigmaMatrix(h=h, m=m, c_base=c_base, entries=entries)
 

@@ -114,6 +114,32 @@ def test_validate_plane_goldens(capsys):
     assert code == 1 and not payload["passed"]
 
 
+@pytest.mark.parametrize("cmd,name", [("validate", "hirz_bad_p1.json"),
+                                      ("validate-plane", "plane_bad_t1.json")])
+def test_failing_report_is_not_indeterminate(capsys, cmd, name):
+    # co-stability is refused as indeterminate once an earlier check fails,
+    # and that refusal printed "indeterminate": true beside "passed": false
+    code, payload = run(capsys, cmd, g(name))
+    assert code == 1
+    assert payload["passed"] is False and payload["indeterminate"] is False
+
+
+@pytest.mark.parametrize("name,want", [("hirz_valid_n2c2.json", 0), ("hirz_bad_p1.json", 1)])
+def test_closed_stdout_keeps_the_exit_code(name, want):
+    # `adhmkit validate p.json | head -1`: printing into the closed pipe
+    # raised, the error handler printed into it again, and the process
+    # exited 1 with a BrokenPipeError traceback
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "adhmkit.cli", "validate", g(name)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == want
+    assert err == b""
+
+
 def test_chart_set(capsys):
     code, payload = run(capsys, "chart-set", g("hirz_valid_n2c2.json"))
     assert code == 0

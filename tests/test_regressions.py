@@ -8,16 +8,25 @@ regression test for the fix.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from adhmkit.errors import ADHMKitError, InvalidPointError
-from adhmkit.geometry import spectrum_vs_pencil_check, ytilde_point, ytilde_to_p1
+from adhmkit.errors import DomainError, InvalidPointError, ShapeError
+from adhmkit.geometry import (
+    spectrum_vs_pencil_check,
+    tot_point,
+    um_membership,
+    ytilde_point,
+    ytilde_to_p1,
+)
 from adhmkit.hirz import (
+    act_gl2,
     canonicalize,
     chart_coords,
     chart_set,
+    from_chart,
     hirz_adhm,
     plane_part,
     reconstruct_C,
@@ -99,36 +108,100 @@ def test_overflowing_residual_is_indeterminate(kind, n, s):
 
 
 def _int_argument_calls():
-    """name -> call taking one integer argument x, all other arguments valid."""
+    """name -> (call taking one integer argument x, all other arguments valid,
+    a value out of x's range and the message it gives, or None when x is unbounded)."""
     d = gen_hirz_valid(GenConfig(seed=3, n=2, c=3))
     cc = to_chart(d, chart_set(d)[0])
     one = np.eye(1)
     return {
-        "hirz_adhm_n": lambda x: hirz_adhm(x, 1, one, one, (one,), [1.0]),
-        "hirz_adhm_c": lambda x: hirz_adhm(1, x, one, one, (one,), [1.0]),
-        "chart_coords_m": lambda x: chart_coords(x, 1, 1, one, one, [1.0], one),
-        "chart_coords_n": lambda x: chart_coords(0, x, 1, one, one, [1.0], one),
-        "to_chart": lambda x: to_chart(d, x),
-        "transition_omega": lambda x: transition_omega(cc, x),
-        "reconstruct_C": lambda x: reconstruct_C(one, one, 0, x, 1),
-        "syst_rank": lambda x: syst_rank(one, one, x),
-        "transition_plane": lambda x: transition_plane(plane_part(cc), cc.m, cc.m, x, d.c),
-        "ytilde_point": lambda x: ytilde_point(1, 1, 1, 1, x),
-        "ytilde_to_p1": lambda x: ytilde_to_p1(ytilde_point(1, 1, 1, 1, 1), x),
-        "angle_pair_c_base": lambda x: angle_pair(x, 0),
-        "angle_pair_m": lambda x: angle_pair(3, x),
-        "sigma_matrix_h": lambda x: sigma_matrix(x, 0, 3),
-        "run_suite_samples": lambda x: run_suite(seed=1, max_n=1, max_c=1, samples=x),
+        "hirz_adhm_n": (lambda x: hirz_adhm(x, 1, one, one, (one,), [1.0]),
+                        (65, "hirz_adhm: n must be an integer in 1..64, got 65")),
+        "hirz_adhm_c": (lambda x: hirz_adhm(1, x, one, one, (one,), [1.0]),
+                        (0, "hirz_adhm: c must be an integer >= 1, got 0")),
+        "chart_coords_m": (lambda x: chart_coords(x, 1, 1, one, one, [1.0], one),
+                           (2, "chart_coords: m must be an integer in 0..1, got 2")),
+        "chart_coords_n": (lambda x: chart_coords(0, x, 1, one, one, [1.0], one),
+                           (65, "chart_coords: n must be an integer in 1..64, got 65")),
+        "chart_coords_c": (lambda x: chart_coords(0, 1, x, one, one, [1.0], one),
+                           (0, "chart_coords: c must be an integer >= 1, got 0")),
+        "to_chart": (lambda x: to_chart(d, x),
+                     (4, "to_chart: chart index m must be an integer in 0..3, got 4")),
+        "transition_omega": (lambda x: transition_omega(cc, x),
+                             (-1, "transition_omega: chart index l must be an integer in 0..3, "
+                                  "got -1")),
+        "reconstruct_C": (lambda x: reconstruct_C(one, one, 0, x, 1),
+                          (65, "reconstruct_C: n must be an integer in 1..64, got 65")),
+        "syst_rank": (lambda x: syst_rank(one, one, x),
+                      (1, "syst_rank: n must be an integer >= 2, got 1")),
+        "transition_plane": (lambda x: transition_plane(plane_part(cc), cc.m, cc.m, x, d.c),
+                             (0, "transition_plane: n must be an integer >= 1, got 0")),
+        "transition_plane_m": (lambda x: transition_plane(plane_part(cc), x, cc.m, d.n, d.c),
+                               None),
+        "transition_plane_l": (lambda x: transition_plane(plane_part(cc), cc.m, x, d.n, d.c),
+                               None),
+        "from_chart_m": (lambda x: from_chart(x, plane_part(cc), cc.A2m, d.n),
+                         (4, "from_chart: m must be an integer in 0..3, got 4")),
+        "ytilde_point": (lambda x: ytilde_point(1, 1, 1, 1, x),
+                         (0, "ytilde_point: n must be an integer >= 1, got 0")),
+        "tot_point_n": (lambda x: tot_point(1, 1, 1, 1, x),
+                        (0, "tot_point: n must be an integer >= 1, got 0")),
+        "ytilde_to_p1": (lambda x: ytilde_to_p1(ytilde_point(1, 1, 1, 1, 1), x),
+                         (0, "ytilde_to_p1: n must be an integer >= 1, got 0")),
+        "um_membership_c_base": (lambda x: um_membership([1, 1], 0, x),
+                                 (0, "um_membership: c_base must be an integer >= 1, got 0")),
+        "angle_pair_c_base": (lambda x: angle_pair(x, 0),
+                              (0, "angle_pair: c_base must be an integer >= 1, got 0")),
+        "angle_pair_m": (lambda x: angle_pair(3, x), None),
+        "sigma_matrix_h": (lambda x: sigma_matrix(x, 0, 3),
+                           (65, "sigma_matrix: h must be an integer in 0..64, got 65")),
+        "run_suite_samples": (lambda x: run_suite(seed=1, max_n=1, max_c=1, samples=x),
+                              (-1, "run_suite: samples must be an integer >= 0, got -1")),
+        "run_suite_max_n": (lambda x: run_suite(seed=1, max_n=x, max_c=1, samples=0),
+                            (0, "run_suite: max_n must be an integer >= 1, got 0")),
+        "run_suite_max_c": (lambda x: run_suite(seed=1, max_n=1, max_c=x, samples=0),
+                            (0, "run_suite: max_c must be an integer >= 1, got 0")),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_int_argument_calls()))
 def test_bool_is_refused_where_an_integer_is_expected(name):
     # isinstance(True, int) holds, so True passed as 1: to_chart(d, True)
-    # returned m=True, which dumps wrote as "m": true and loads refused
-    call = _int_argument_calls()[name]
-    with pytest.raises(ADHMKitError) as fractional:
-        call(1.5)
-    with pytest.raises(ADHMKitError) as boolean:
-        call(True)
-    assert type(boolean.value) is type(fractional.value)
+    # returned m=True, which dumps wrote as "m": true and loads refused;
+    # transition_plane passed m - l on to angle_pair, so m=True was chart 1
+    call, _ = _int_argument_calls()[name]
+    for bad in (1.5, True):
+        with pytest.raises(DomainError, match=f" must be an integer.*, got {bad!r}$") as exc:
+            call(bad)
+        assert type(exc.value) is DomainError
+
+
+@pytest.mark.parametrize("name", sorted(k for k, v in _int_argument_calls().items() if v[1]))
+def test_out_of_range_integer_is_a_domain_error(name):
+    # chart_coords refused a bad m or n, and hirz_adhm an n above 64, as
+    # ShapeError; from_chart built a point at a chart index beyond c
+    call, (value, message) = _int_argument_calls()[name]
+    with pytest.raises(DomainError) as exc:
+        call(value)
+    assert type(exc.value) is DomainError and str(exc.value) == message
+
+
+def _spoiled_field_calls():
+    """field name -> call that passes that one field with a wrong shape."""
+    d = gen_hirz_valid(GenConfig(seed=3, n=2, c=3))
+    cc = to_chart(d, chart_set(d)[0])
+    wrong = np.eye(d.c + 1)
+    return {
+        "A2": lambda: hirz_adhm(d.n, d.c, d.A1, wrong, d.C, d.e),
+        "C[1]": lambda: hirz_adhm(d.n, d.c, d.A1, d.A2, (d.C[0], wrong), d.e),
+        "A2m": lambda: chart_coords(cc.m, cc.n, cc.c, cc.B, cc.E, cc.e, wrong),
+        "e": lambda: plane_adhm(cc.B, cc.E, np.ones(d.c + 1)),
+        "phi2": lambda: act_gl2(d, np.eye(d.c), wrong),
+        "A": lambda: from_chart(cc.m, plane_part(cc), wrong, d.n),
+        "x": lambda: um_membership(np.ones(d.c), 0, d.c),
+    }
+
+
+@pytest.mark.parametrize("field", sorted(_spoiled_field_calls()))
+def test_wrong_shape_names_the_field(field):
+    with pytest.raises(ShapeError, match=f"^{re.escape(field)}: expected a"):
+        _spoiled_field_calls()[field]()

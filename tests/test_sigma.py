@@ -130,11 +130,11 @@ def test_type_checks_run_before_the_caches():
     sigma_matrix(2, 0, 3)
     with pytest.raises(DomainError, match="m must be an integer"):
         angle_pair(3, 1.0)
-    with pytest.raises(DomainError, match="c_base must be a positive integer"):
+    with pytest.raises(DomainError, match="c_base must be an integer >= 1"):
         angle_pair([1], 0)
     with pytest.raises(DomainError, match="m must be an integer"):
         angle_pair(3, [1])
-    with pytest.raises(DomainError, match="order h must be a nonnegative integer"):
+    with pytest.raises(DomainError, match="h must be an integer in 0..64"):
         sigma_matrix(2.0, 0, 3)
     with pytest.raises(DomainError, match="m must be an integer"):
         sigma_matrix(2, 0.0, 3)

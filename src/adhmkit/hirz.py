@@ -50,7 +50,6 @@ from .linalg import (
     binary_form_roots,
     kernel_basis,
     mats_close,
-    rank_tol,
 )
 from .plane import PlaneADHM
 from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport, _residual_check, merge
@@ -110,6 +109,10 @@ def hirz_adhm(n, c, A1, A2, C, e) -> HirzADHM:
     A1 = as_matrix(A1, "A1", (c, c))
     A2 = as_matrix(A2, "A2", (c, c))
     e = as_covector(e, "e", c)
+    try:
+        C = tuple(C)
+    except TypeError:
+        raise ShapeError(f"C: expected a sequence of {n} matrices, got {type(C).__name__}") from None
     cs = tuple(as_matrix(cq, f"C[{q}]", (c, c)) for q, cq in enumerate(C))
     if len(cs) != n:
         raise ShapeError(f"hirz_adhm: expected {n} C-matrices, got {len(cs)}")
@@ -426,19 +429,40 @@ def _assemble_from_chart(m, b1, b2, e, A, A_inv, n, c_base) -> HirzADHM:
     return HirzADHM(n=n, c=c, A1=a1, A2=a2, C=cs, e=e)
 
 
+def _probe_rank(matrix: np.ndarray, tol: ToleranceConfig, who: str) -> int:
+    """Numerical rank of a probe matrix, refused when its cut has no clear gap.
+
+    Singular values above rank_rel_tol * s_max count.  When some are cut, the
+    smallest kept one over the largest cut one must be at least _GAP_MIN;
+    otherwise IndeterminateError names ``who``.
+    """
+    s = np.linalg.svd(matrix, compute_uv=False)
+    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    if rank < s.size:
+        kept = s[rank - 1] if rank > 0 else np.inf
+        discarded = s[rank]
+        if discarded > 0 and kept / discarded < _GAP_MIN:
+            raise IndeterminateError(
+                f"{who}: no clear spectral gap "
+                f"(kept {kept:.3e} / discarded {discarded:.3e} < {_GAP_MIN:.0e})"
+            )
+    return rank
+
+
 def syst_rank(A1, A2, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of the left intertwining system as a block matrix on the C-stack.
 
     The (n-1)c^2 x n c^2 system has block row q equal to
     (0 ... 0, A1 (x) 1, -A2 (x) 1, 0 ... 0) acting on row-major vectorized
-    C-matrices; at nondegenerate pencils the rank is maximal, (n-1) c^2.
+    C-matrices, so it is M_A (x) 1 with M_A the (n-1)c x nc matrix of block
+    rows (0 ... 0, A1, -A2, 0 ... 0), and its rank is c _probe_rank(M_A).
+    At nondegenerate pencils the rank is maximal, (n-1) c^2.
     """
     A1 = as_matrix(A1, "A1", "square")
     A2 = as_matrix(A2, "A2", A1.shape)
     as_int(n, "syst_rank", "n", 2)
-    eye = np.eye(A1.shape[0])
-    return rank_tol(np.kron(np.eye(n - 1, n), np.kron(A1, eye))
-                    - np.kron(np.eye(n - 1, n, 1), np.kron(A2, eye)), tol)
+    m_a = np.kron(np.eye(n - 1, n), A1) - np.kron(np.eye(n - 1, n, 1), A2)
+    return A1.shape[0] * _probe_rank(m_a, tol, "syst_rank")
 
 
 def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCoords:
@@ -496,23 +520,13 @@ def jacobian_nullity(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     is therefore 3c^2 + c - r, r being the rank of the c^2 x 2c^2 map
     (dB, dE) -> [dB, E] + [B, dE], built from vec(a X b) = (a (x) b^T) vec(X);
     it copies entries of B and E exactly, so it vanishes exactly at c = 1.
-    Singular values above rank_rel_tol * s_max count toward r.  The cut needs
-    a singular-value gap of at least 1e3, otherwise the verdict is
-    indeterminate.
+    r is _probe_rank's: singular values above rank_rel_tol * s_max count, and
+    a cut without a singular-value gap of at least 1e3 is indeterminate.
     """
     m = validate_hirz(d, tol).require("jacobian_nullity").chart_set[0]
     cc = to_chart(d, m, tol)
     eye = np.eye(d.c)
     jac = np.hstack([np.kron(eye, cc.E.T) - np.kron(cc.E, eye),
                      np.kron(cc.B, eye) - np.kron(eye, cc.B.T)])
-    s = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-    if rank < s.size:
-        kept = s[rank - 1] if rank > 0 else np.inf
-        discarded = s[rank]
-        if discarded > 0 and kept / discarded < _GAP_MIN:
-            raise IndeterminateError(
-                f"jacobian_nullity: no clear spectral gap "
-                f"(kept {kept:.3e} / discarded {discarded:.3e} < {_GAP_MIN:.0e})"
-            )
-    return 3 * d.c * d.c + d.c - rank
+    return 3 * d.c * d.c + d.c - _probe_rank(jac, tol, "jacobian_nullity")
+

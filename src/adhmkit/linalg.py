@@ -167,8 +167,12 @@ def as_int(x, who, name, lo=None, hi=None) -> int:
 
 def as_matrix(a, name="matrix", shape=None) -> np.ndarray:
     """a as a finite complex128 matrix of the given shape, or square when
-    shape is "square"; ShapeError naming ``name`` otherwise."""
-    m = np.asarray(a, dtype=np.complex128)
+    shape is "square"; ShapeError naming ``name`` otherwise, also for
+    non-numeric or ragged input."""
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{name}: expected a {shape or '2-d'} matrix of numbers ({exc})") from None
     want = m.shape[:1] * 2 if shape == "square" else shape
     if m.ndim != 2 or min(m.shape) < 1 or want is not None and m.shape != want:
         raise ShapeError(f"{name}: expected a {shape or '2-d'} matrix, got shape {m.shape}")
@@ -179,12 +183,16 @@ def as_matrix(a, name="matrix", shape=None) -> np.ndarray:
 
 def as_covector(a, name="covector", length=None) -> np.ndarray:
     """a as a finite complex128 row (a 1 x k matrix counts), of the given
-    length when one is given; ShapeError naming ``name`` otherwise."""
-    v = np.asarray(a, dtype=np.complex128)
+    length when one is given; ShapeError naming ``name`` otherwise, also for
+    non-numeric or ragged input."""
+    want = "a 1-d row" if length is None else f"a row of length {length}"
+    try:
+        v = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{name}: expected {want} of numbers ({exc})") from None
     if v.ndim == 2 and v.shape[0] == 1:
         v = v[0]
     if v.ndim != 1 or v.shape[0] < 1 or length is not None and v.shape[0] != length:
-        want = "a 1-d row" if length is None else f"a row of length {length}"
         raise ShapeError(f"{name}: expected {want}, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ShapeError(f"{name}: entries must be finite")

@@ -137,10 +137,10 @@ def act_gl(d: PlaneADHM, phi, tol: ToleranceConfig = DEFAULT_TOL) -> PlaneADHM:
 
 def from_points(points, tol: ToleranceConfig = DEFAULT_TOL) -> PlaneADHM:
     """Diagonal triple supported on the given pairwise-distinct plane points."""
-    pts = [(complex(z), complex(w)) for z, w in points]
+    pts = list(points)
     if not pts:
         raise ShapeError("from_points: need at least one point")
-    arr = np.asarray(pts, dtype=np.complex128)
+    arr = as_matrix(pts, "points", (len(pts), 2))
     scale = max(float(np.abs(arr).max()), 1.0)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

@@ -143,14 +143,13 @@ class _Ctx:
         return gen_plane_valid(GenConfig(seed=seed, c=c), self.tol)
 
 
-def _property(name, min_n=1, where=None):
+def _property(name, min_n=1):
     """Register ``check(ctx, i, n, c, seed)`` as the property ``name``.
 
     The check looks at one case and yields ``(detail, point)`` for each
     counterexample, ``point`` being the offending PlaneADHM/HirzADHM or
     None; ``(detail, point, n, c)`` files the record under another cell.
-    The runner stored in PROPERTIES walks ``ctx.cases(name, min_n)``,
-    skipping and not counting cells that ``where(n, c)`` rejects, and
+    The runner stored in PROPERTIES walks ``ctx.cases(name, min_n)`` and
     returns ``(cases, failures)``: the number of cases run and at most 10
     records, each with the point encoded as reproduction data.
     """
@@ -160,7 +159,7 @@ def _property(name, min_n=1, where=None):
             raise RuntimeError(f"property {name!r} registered twice")
 
         def run(ctx):
-            cases = [k for k in ctx.cases(name, min_n) if where is None or where(k[1], k[2])]
+            cases = ctx.cases(name, min_n)
             failures = []
             for i, n, c, seed in cases:
                 for detail, obj, *cell in check(ctx, i, n, c, seed):
@@ -490,7 +489,7 @@ def _prop_hirz_orbit(ctx, i, n, c, seed):
         yield "orbit_equal conflated distinct supports", d
 
 
-@_property("hirz_jacobian_dimension", where=lambda n, c: n <= 3 and c <= 3)
+@_property("hirz_jacobian_dimension")
 def _prop_hirz_jacobian(ctx, i, n, c, seed):
     d = ctx.hirz(n, c, seed)
     nullity = hirz_mod.jacobian_nullity(d, ctx.tol)

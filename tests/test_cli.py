@@ -250,6 +250,17 @@ def test_rank_and_dimension_commands(capsys):
     assert payload["orbit_dim"] == 4
 
 
+def test_syst_rank_without_gap_is_indeterminate(capsys, tmp_path):
+    # A1's singular values 1e-8 and 1e-10 straddle the rank cut at 1e-9
+    d = hirz_adhm(2, 3, np.diag([1.0, 1e-8, 1e-10]), np.zeros((3, 3)),
+                  (np.eye(3), np.eye(3)), np.ones(3))
+    path = tmp_path / "gapless.json"
+    path.write_text(dumps(d))
+    code, payload = run(capsys, "syst-rank", str(path))
+    assert code == 2 and payload["error"] == "indeterminate"
+    assert payload["detail"].startswith("syst_rank: no clear spectral gap")
+
+
 @pytest.mark.parametrize("name", ["hirz_bad_p1.json", "hirz_bad_p2.json", "hirz_bad_p3.json"])
 def test_jacobian_dim_refuses_broken_points(capsys, name):
     code, payload = run(capsys, "jacobian-dim", g(name))

@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 import pickle
+import re
+import time
 
 import numpy as np
 import pytest
@@ -260,14 +262,47 @@ def test_glue_triangle_through_every_chart():
         assert rel_err(via.A2m, direct.A2m) < 1e-8
 
 
+def _syst_rank_by_kronecker(A1, A2, n):
+    # reference: the full (n-1)c^2 x nc^2 left system, block row q acting as
+    # A1 (x) 1 on vec C_q and -A2 (x) 1 on vec C_{q+1} (row-major vec)
+    eye = np.eye(A1.shape[0])
+    return rank_tol(np.kron(np.eye(n - 1, n), np.kron(A1, eye))
+                    - np.kron(np.eye(n - 1, n, 1), np.kron(A2, eye)))
+
+
 def test_syst_rank_frozen_and_grid():
     assert syst_rank(np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]), 2) == 1
-    for n in (2, 3):
-        for c in (1, 2):
-            d = gen_hirz_valid(GenConfig(seed=100 * n + c, n=n, c=c))
-            assert syst_rank(d.A1, d.A2, n) == (n - 1) * c * c
+    for n in (2, 3, 4, 5):
+        for c in (1, 2, 3, 4, 5, 6):
+            for seed in (100 * n + c, 7 + 100 * n + c):
+                d = gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))
+                assert syst_rank(d.A1, d.A2, n) == _syst_rank_by_kronecker(d.A1, d.A2, n) \
+                    == (n - 1) * c * c
+    # degenerate pencils A1 = A2 with a zero column: rank (n-1) c (c-1)
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        for c in (2, 3, 4, 5):
+            a = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
+            a[:, 0] = 0.0
+            assert syst_rank(a, a, n) == _syst_rank_by_kronecker(a, a, n) == (n - 1) * c * (c - 1)
     with pytest.raises(DomainError):
         syst_rank(np.eye(2), np.eye(2), 1)
+
+
+def test_syst_rank_at_largest_supported_size():
+    # the full system would be 7168 x 8192; its factor M_A is 224 x 256
+    d = gen_hirz_valid(GenConfig(seed=1, n=8, c=32))
+    start = time.perf_counter()
+    assert syst_rank(d.A1, d.A2, d.n) == 7 * 32 * 32 == 7168
+    assert time.perf_counter() - start < 1.0
+
+
+def test_syst_rank_refuses_a_cut_without_gap():
+    # A1 is invertible, so the exact rank is c^2 = 9, but its singular values
+    # 1e-8 and 1e-10 straddle the cut at 1e-9 with a ratio of only 100
+    with pytest.raises(IndeterminateError, match=re.escape(
+            "syst_rank: no clear spectral gap (kept 1.000e-08 / discarded 1.000e-10 < 1e+03)")):
+        syst_rank(np.diag([1.0, 1e-8, 1e-10]), np.zeros((3, 3)), 2)
 
 
 def test_canonicalize_and_orbit_equal():

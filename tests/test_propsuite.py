@@ -140,15 +140,12 @@ def _counts(rep):
 
 def test_case_counts_are_pinned():
     # every property walks `samples` cases of its stream, except those that
-    # start at n = 2 and the Jacobian, which only counts cells n <= 3, c <= 3
+    # start at n = 2, which run none on a grid with max_n = 1
     rep = run_suite(seed=5, max_n=4, max_c=4, samples=20)
-    assert _counts(rep) == {name: 12 if name == "hirz_jacobian_dimension" else 20
-                            for name in PROPERTIES}
+    assert _counts(rep) == {name: 20 for name in PROPERTIES}
     from_n2 = {"hirz_p1_negative_detection", "hirz_syst_rank"}
     rep = run_suite(seed=5, max_n=1, max_c=4, samples=20)
-    assert _counts(rep) == {name: 0 if name in from_n2
-                            else 15 if name == "hirz_jacobian_dimension" else 20
-                            for name in PROPERTIES}
+    assert _counts(rep) == {name: 0 if name in from_n2 else 20 for name in PROPERTIES}
 
 
 def test_spectrum_pencil_property_sees_a_swapped_root_convention():

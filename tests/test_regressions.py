@@ -36,7 +36,8 @@ from adhmkit.hirz import (
     validate_hirz,
     validate_p3_direct,
 )
-from adhmkit.plane import plane_adhm, transition_plane, validate_plane
+from adhmkit.linalg import as_covector, as_matrix
+from adhmkit.plane import from_points, plane_adhm, transition_plane, validate_plane
 from adhmkit.propsuite import GenConfig, gen_hirz_valid, gen_plane_valid, run_suite
 from adhmkit.sigma import angle_pair, sigma_matrix
 
@@ -186,7 +187,7 @@ def test_out_of_range_integer_is_a_domain_error(name):
 
 
 def _spoiled_field_calls():
-    """field name -> call that passes that one field with a wrong shape."""
+    """field name, or "field:case", -> call that passes that one field with a wrong shape."""
     d = gen_hirz_valid(GenConfig(seed=3, n=2, c=3))
     cc = to_chart(d, chart_set(d)[0])
     wrong = np.eye(d.c + 1)
@@ -198,10 +199,18 @@ def _spoiled_field_calls():
         "phi2": lambda: act_gl2(d, np.eye(d.c), wrong),
         "A": lambda: from_chart(cc.m, plane_part(cc), wrong, d.n),
         "x": lambda: um_membership(np.ones(d.c), 0, d.c),
+        # non-numeric, ragged or non-sequence input escaped as a bare
+        # ValueError or TypeError, which the CLI labels internal
+        "matrix:text": lambda: as_matrix("abc"),
+        "matrix:ragged": lambda: as_matrix([[1, 2], [3]]),
+        "covector": lambda: as_covector({"a": 1}),
+        "C": lambda: hirz_adhm(1, 1, np.eye(1), np.eye(1), None, [1.0]),
+        "points:scalars": lambda: from_points([1, 2]),
+        "points:triple": lambda: from_points([(1, 2, 3)]),
     }
 
 
 @pytest.mark.parametrize("field", sorted(_spoiled_field_calls()))
 def test_wrong_shape_names_the_field(field):
-    with pytest.raises(ShapeError, match=f"^{re.escape(field)}: expected a"):
+    with pytest.raises(ShapeError, match=f"^{re.escape(field.split(':')[0])}: expected a"):
         _spoiled_field_calls()[field]()

@@ -165,14 +165,39 @@ def as_int(x, who, name, lo=None, hi=None) -> int:
     return x
 
 
+def _not_numbers(a):
+    """The type of the first bool, str or bytes entry of a, an array or nested
+    lists and tuples, or "" when there is none."""
+    if isinstance(a, np.ndarray):
+        if a.dtype.kind != "O":
+            return "" if a.dtype.kind in "iufc" else a.dtype.name
+        a = a.tolist()
+    if isinstance(a, (list, tuple)):
+        return next(filter(None, map(_not_numbers, a)), "")
+    return type(a).__name__ if isinstance(a, (bool, np.bool_, str, bytes)) else ""
+
+
+def _numbers(a, expected):
+    """a as a complex128 array; ShapeError "<expected> of numbers (...)" otherwise.
+
+    numpy reads bool, str and bytes entries as numbers (True as 1, '3' as 3),
+    so they are refused before the conversion; an array of numbers pays only
+    a check of its dtype kind.
+    """
+    bad = _not_numbers(a)
+    try:
+        if bad:
+            raise TypeError(f"got {bad} entries")
+        return np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{expected} of numbers ({exc})") from None
+
+
 def as_matrix(a, name="matrix", shape=None) -> np.ndarray:
     """a as a finite complex128 matrix of the given shape, or square when
     shape is "square"; ShapeError naming ``name`` otherwise, also for
     non-numeric or ragged input."""
-    try:
-        m = np.asarray(a, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"{name}: expected a {shape or '2-d'} matrix of numbers ({exc})") from None
+    m = _numbers(a, f"{name}: expected a {shape or '2-d'} matrix")
     want = m.shape[:1] * 2 if shape == "square" else shape
     if m.ndim != 2 or min(m.shape) < 1 or want is not None and m.shape != want:
         raise ShapeError(f"{name}: expected a {shape or '2-d'} matrix, got shape {m.shape}")
@@ -186,10 +211,7 @@ def as_covector(a, name="covector", length=None) -> np.ndarray:
     length when one is given; ShapeError naming ``name`` otherwise, also for
     non-numeric or ragged input."""
     want = "a 1-d row" if length is None else f"a row of length {length}"
-    try:
-        v = np.asarray(a, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"{name}: expected {want} of numbers ({exc})") from None
+    v = _numbers(a, f"{name}: expected {want}")
     if v.ndim == 2 and v.shape[0] == 1:
         v = v[0]
     if v.ndim != 1 or v.shape[0] < 1 or length is not None and v.shape[0] != length:

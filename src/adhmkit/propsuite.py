@@ -13,6 +13,7 @@ dropped relation) is wrong, at least one property here must fail.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass
 
@@ -629,12 +630,41 @@ class SuiteReport:
         return out
 
 
+def _run_property(job):
+    """PROPERTIES[name](ctx) for job = (name, ctx); module level, so that a worker can run it."""
+    name, ctx = job
+    return PROPERTIES[name](ctx)
+
+
+def _map_properties(jobs):
+    """list(map(_run_property, jobs)), on forked workers when several CPUs are allowed.
+
+    One worker per allowed CPU, at most one per job; a single worker, or a
+    platform without os.sched_getaffinity, maps in this process.  Workers
+    are forked, so they see whatever is patched into this process, and the
+    with block joins them all before this returns or raises.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    if workers <= 1:
+        return list(map(_run_property, jobs))
+    # loaded here, so that importing this module for its generators (as
+    # perfbench does) does not load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_property, jobs))
+
+
 def run_suite(seed=2026, max_n=3, max_c=6, samples=100, name_filter=None,
               tol: ToleranceConfig = DEFAULT_TOL) -> SuiteReport:
     """Run registered properties over a deterministic case grid.
 
     Empty ranges produce a vacuous pass with a warning.  ``name_filter``
-    keeps properties whose name contains the given substring.
+    keeps properties whose name contains the given substring.  Properties
+    run in forked workers, one per allowed CPU; the report is the same as
+    from running them one after another in this process.
     """
     for label, v, lo in (("max_n", max_n, 1), ("max_c", max_c, 1), ("samples", samples, 0)):
         as_int(v, "run_suite", label, lo)
@@ -645,12 +675,9 @@ def run_suite(seed=2026, max_n=3, max_c=6, samples=100, name_filter=None,
     selected = [n for n in sorted(PROPERTIES) if not name_filter or name_filter in n]
     if not selected:
         warning = "no property matches the filter: suite is vacuous"
-    results = []
-    for name in selected:
-        if warning:
-            results.append(PropertyResult(name=name, cases=0, failures=()))
-            continue
-        cases, failures = PROPERTIES[name](ctx)
-        results.append(PropertyResult(name=name, cases=cases, failures=tuple(failures)))
-    return SuiteReport(results=tuple(results), seed=seed, max_n=max_n, max_c=max_c,
+    outcomes = ([(0, [])] * len(selected) if warning
+                else _map_properties([(name, ctx) for name in selected]))
+    results = tuple(PropertyResult(name=name, cases=cases, failures=tuple(failures))
+                    for name, (cases, failures) in zip(selected, outcomes))
+    return SuiteReport(results=results, seed=seed, max_n=max_n, max_c=max_c,
                        samples=samples, warning=warning)

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -6,13 +8,18 @@ import pytest
 
 import adhmkit.geometry as geom_mod
 import adhmkit.hirz as hirz_mod
+import adhmkit.plane as plane_mod
+import adhmkit.propsuite as propsuite
 from adhmkit.errors import DomainError
 from adhmkit.hirz import validate_hirz
-from adhmkit.linalg import proj_point
+from adhmkit.linalg import DEFAULT_TOL, proj_point
 from adhmkit.plane import validate_plane
 from adhmkit.propsuite import (
     PROPERTIES,
     GenConfig,
+    PropertyResult,
+    SuiteReport,
+    _Ctx,
     gen_hirz_valid,
     gen_plane_valid,
     run_suite,
@@ -168,3 +175,85 @@ def test_spectrum_pencil_property_sees_a_swapped_root_convention():
     (result,) = rep.results
     assert result.failures
     assert all("pencil determinant" in f["detail"] for f in result.failures)
+
+
+# run_suite maps the selected properties over forked workers, one per CPU
+# that os.sched_getaffinity allows; these pin the CPU count, so that the
+# pool runs (or does not) whatever the host has
+
+
+def _cpus(k):
+    return mock.patch.object(propsuite.os, "sched_getaffinity", create=True,
+                             return_value=set(range(k)))
+
+
+def _serial_json(seed, max_n, max_c, samples):
+    ctx = _Ctx(seed=seed, max_n=max_n, max_c=max_c, samples=samples, tol=DEFAULT_TOL)
+    results = []
+    for name in sorted(PROPERTIES):
+        cases, failures = PROPERTIES[name](ctx)
+        results.append(PropertyResult(name=name, cases=cases, failures=tuple(failures)))
+    rep = SuiteReport(results=tuple(results), seed=seed, max_n=max_n, max_c=max_c,
+                      samples=samples)
+    return json.dumps(rep.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [1, 20261017])
+def test_parallel_report_equals_serial_reference(seed):
+    want = _serial_json(seed, 3, 4, 20)
+    with _cpus(2):
+        assert json.dumps(run_suite(seed, 3, 4, 20).to_json(), sort_keys=True) == want
+    with _cpus(1):
+        assert json.dumps(run_suite(seed, 3, 4, 20).to_json(), sort_keys=True) == want
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_see_a_patched_mutant():
+    # criterion 12's wrong twist power, with several properties selected so
+    # that they run in forked workers, which inherit the patch
+    real = plane_mod.transition_plane
+
+    def twist_off_by_one(d, m, l, n, c_base, tol=None):
+        if tol is None:
+            return real(d, m, l, n + 1, c_base)
+        return real(d, m, l, n + 1, c_base, tol)
+
+    with _cpus(2), mock.patch.object(plane_mod, "transition_plane", twist_off_by_one):
+        rep = run_suite(seed=2026, max_n=2, max_c=3, samples=12, name_filter="hirz_")
+    assert len(rep.results) > 1
+    failed = {r.name for r in rep.results if not r.passed}
+    assert "hirz_glue_triangle" in failed
+    assert multiprocessing.active_children() == []
+
+
+def test_raising_property_surfaces_its_exception_and_leaves_no_worker():
+    def broken(cc, l, tol=None):
+        raise RuntimeError("transition_omega broke")
+
+    with _cpus(2), mock.patch.object(hirz_mod, "transition_omega", broken):
+        with pytest.raises(RuntimeError, match="transition_omega broke"):
+            run_suite(seed=5, max_n=2, max_c=2, samples=2, name_filter="hirz_")
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_runs_in_process():
+    # a counter in this process sees the library calls only when the suite
+    # runs here; perfbench's traced per-op counts rely on it (taskset -c 0)
+    with _cpus(1), mock.patch.object(hirz_mod, "transition_omega",
+                                     wraps=hirz_mod.transition_omega) as spy:
+        rep = run_suite(seed=5, max_n=2, max_c=2, samples=2, name_filter="hirz_")
+    assert rep.passed and len(rep.results) > 1
+    assert spy.call_count > 0
+    with _cpus(2), mock.patch.object(hirz_mod, "transition_omega",
+                                     wraps=hirz_mod.transition_omega) as spy:
+        assert run_suite(seed=5, max_n=2, max_c=2, samples=2, name_filter="hirz_").passed
+    assert spy.call_count == 0
+
+
+def test_no_affinity_call_runs_in_process(monkeypatch):
+    # platforms without os.sched_getaffinity run the suite in this process
+    monkeypatch.delattr(propsuite.os, "sched_getaffinity", raising=False)
+    with mock.patch.object(hirz_mod, "transition_omega",
+                           wraps=hirz_mod.transition_omega) as spy:
+        assert run_suite(seed=5, max_n=2, max_c=2, samples=2, name_filter="hirz_").passed
+    assert spy.call_count > 0

@@ -259,7 +259,8 @@ def kernel_basis(m, tol: ToleranceConfig = DEFAULT_TOL, scale=None) -> np.ndarra
     rank_rel_tol * scale instead of relative to the noise floor.
     """
     m = as_matrix(m, "kernel_basis")
-    _, s, vh = np.linalg.svd(m)
+    # a wide m needs the full vh for its kernel; a tall one has all of it thin
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     r = int(np.count_nonzero(s > tol.rank_rel_tol * (s[0] if scale is None else scale)))
     return vh[r:].conj().T
 

@@ -43,11 +43,20 @@ __all__ = [
     "load_path",
 ]
 
-KIND_PLANE = "plane_adhm"
-KIND_HIRZ = "hirz_adhm"
-KIND_CHART = "chart_coords"
-KIND_TOT = "tot_point"
-KIND_YTILDE = "ytilde_point"
+# kind tag -> (class, constructor, size fields, {numeric field: shape}), each
+# listed in the key order of the JSON object.  A shape names the sizes that
+# give its dimensions ("" is a complex scalar); the constructor takes the
+# sizes, then the fields.  Every size but the chart index m is a count >= 1.
+_KINDS = {
+    "plane_adhm": (PlaneADHM, lambda c, *fields: plane_adhm(*fields), "c",
+                   {"b1": "cc", "b2": "cc", "e": "c"}),
+    "hirz_adhm": (HirzADHM, hirz_adhm, "nc", {"A1": "cc", "A2": "cc", "C": "ncc", "e": "c"}),
+    "chart_coords": (ChartCoords, chart_coords, "mnc",
+                     {"B": "cc", "E": "cc", "e": "c", "A2m": "cc"}),
+    # the relations of the two point kinds are checked where the twist n is known
+    "tot_point": (TotPoint, TotPoint, "", dict.fromkeys(("y1", "y2", "u1", "u2"), "")),
+    "ytilde_point": (YTildePoint, YTildePoint, "", dict.fromkeys(("y1", "y2", "x1", "x2"), "")),
+}
 
 
 def _pairs(a) -> list:
@@ -57,23 +66,10 @@ def _pairs(a) -> list:
 
 
 def encode(obj) -> dict:
-    if isinstance(obj, PlaneADHM):
-        return {"kind": KIND_PLANE, "c": obj.c, "b1": _pairs(obj.b1),
-                "b2": _pairs(obj.b2), "e": _pairs(obj.e)}
-    if isinstance(obj, HirzADHM):
-        return {"kind": KIND_HIRZ, "n": obj.n, "c": obj.c,
-                "A1": _pairs(obj.A1), "A2": _pairs(obj.A2),
-                "C": _pairs(obj.C), "e": _pairs(obj.e)}
-    if isinstance(obj, ChartCoords):
-        return {"kind": KIND_CHART, "m": obj.m, "n": obj.n, "c": obj.c,
-                "B": _pairs(obj.B), "E": _pairs(obj.E), "e": _pairs(obj.e),
-                "A2m": _pairs(obj.A2m)}
-    if isinstance(obj, TotPoint):
-        return {"kind": KIND_TOT, "y1": _pairs(obj.y1), "y2": _pairs(obj.y2),
-                "u1": _pairs(obj.u1), "u2": _pairs(obj.u2)}
-    if isinstance(obj, YTildePoint):
-        return {"kind": KIND_YTILDE, "y1": _pairs(obj.y1), "y2": _pairs(obj.y2),
-                "x1": _pairs(obj.x1), "x2": _pairs(obj.x2)}
+    for kind, (cls, _, sizes, fields) in _KINDS.items():
+        if isinstance(obj, cls):
+            return {"kind": kind, **{s: getattr(obj, s) for s in sizes},
+                    **{f: _pairs(getattr(obj, f)) for f in fields}}
     if isinstance(obj, ProjPoint):
         return {"point": [_pairs(obj.lam1), _pairs(obj.lam2)]}
     raise TypeError(f"encode: unsupported object type {type(obj).__name__}")
@@ -165,6 +161,8 @@ def _walk_block(v, shape, path):
         return _parse_row(v, *shape, path)
     if len(shape) == 2:
         return _parse_matrix(v, *shape, path)
+    if not isinstance(v, list) or len(v) != shape[0]:
+        raise ParseError(f"expected {shape[0]} {path.rsplit('/', 1)[-1]}-matrices", path)
     return np.array([_parse_matrix(m, *shape[1:], f"{path}[{q}]") for q, m in enumerate(v)])
 
 
@@ -176,52 +174,18 @@ def _parse_block(v, shape, path):
 def decode(data, path="$"):
     """Decode a JSON object into the value its ``kind`` field declares."""
     kind = _get(data, "kind", path)
-    if kind == KIND_PLANE:
-        c = _parse_int(data, "c", path)
-        if c < 1:
-            raise ParseError("c must be >= 1", f"{path}/c")
-        return plane_adhm(
-            _parse_block(_get(data, "b1", path), (c, c), f"{path}/b1"),
-            _parse_block(_get(data, "b2", path), (c, c), f"{path}/b2"),
-            _parse_block(_get(data, "e", path), (c,), f"{path}/e"),
-        )
-    if kind == KIND_HIRZ:
-        n = _parse_int(data, "n", path)
-        c = _parse_int(data, "c", path)
-        if n < 1 or c < 1:
-            raise ParseError("n and c must be >= 1", path)
-        cs = _get(data, "C", path)
-        if not isinstance(cs, list) or len(cs) != n:
-            raise ParseError(f"expected {n} C-matrices", f"{path}/C")
-        return hirz_adhm(
-            n, c,
-            _parse_block(_get(data, "A1", path), (c, c), f"{path}/A1"),
-            _parse_block(_get(data, "A2", path), (c, c), f"{path}/A2"),
-            _parse_block(cs, (n, c, c), f"{path}/C"),
-            _parse_block(_get(data, "e", path), (c,), f"{path}/e"),
-        )
-    if kind == KIND_CHART:
-        m = _parse_int(data, "m", path)
-        n = _parse_int(data, "n", path)
-        c = _parse_int(data, "c", path)
-        if n < 1 or c < 1:
-            raise ParseError("n and c must be >= 1", path)
-        return chart_coords(
-            m, n, c,
-            _parse_block(_get(data, "B", path), (c, c), f"{path}/B"),
-            _parse_block(_get(data, "E", path), (c, c), f"{path}/E"),
-            _parse_block(_get(data, "e", path), (c,), f"{path}/e"),
-            _parse_block(_get(data, "A2m", path), (c, c), f"{path}/A2m"),
-        )
-    if kind == KIND_TOT:
-        vals = [_parse_complex(_get(data, k, path), f"{path}/{k}")
-                for k in ("y1", "y2", "u1", "u2")]
-        return TotPoint(*vals)  # relation checked where the twist n is known
-    if kind == KIND_YTILDE:
-        vals = [_parse_complex(_get(data, k, path), f"{path}/{k}")
-                for k in ("y1", "y2", "x1", "x2")]
-        return YTildePoint(*vals)
-    raise ParseError(f"unknown kind {kind!r}", f"{path}/kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ParseError(f"unknown kind {kind!r}", f"{path}/kind")
+    _, make, sizes, fields = _KINDS[kind]
+    dims = {s: _parse_int(data, s, path) for s in sizes}
+    for s, size in dims.items():
+        if size < 1 and s != "m":
+            raise ParseError(f"{s} must be >= 1", f"{path}/{s}")
+    values = []
+    for f, spec in fields.items():
+        v, shape, at = _get(data, f, path), tuple(dims[s] for s in spec), f"{path}/{f}"
+        values.append(_parse_block(v, shape, at) if shape else _parse_complex(v, at))
+    return make(*dims.values(), *values)
 
 
 _INDENT = "  "
@@ -322,7 +286,8 @@ def dumps(data) -> str:
 def loads(text: str, path="$"):
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
+    # JSONDecodeError, an int literal over the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}", path) from exc
     return decode(data, path)
 

@@ -48,6 +48,19 @@ def test_validate_malformed_inputs(capsys):
         assert payload["path"]
 
 
+def test_validate_size_and_nesting_errors(capsys, tmp_path):
+    data = json.loads(pathlib.Path(g("hirz_valid_n2c2.json")).read_text())
+    cases = {"n0.json": (json.dumps(dict(data, n=0)), "/n", "n must be >= 1"),
+             "c0.json": (json.dumps(dict(data, c=0)), "/c", "c must be >= 1"),
+             "deep.json": ("[" * 100_000, "", "invalid JSON: ")}
+    for name, (text, suffix, detail) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, payload = run(capsys, "validate", str(path))
+        assert code == 2 and payload["error"] == "parse", name
+        assert payload["path"] == str(path) + suffix and payload["detail"].startswith(detail)
+
+
 def test_validate_indeterminate_pencil(capsys, tmp_path):
     a1 = np.diag([1.0 + 0j, 1e-20])
     d = hirz_adhm(1, 2, a1, 2.0 * a1, (np.eye(2, dtype=complex),),

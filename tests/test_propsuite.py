@@ -12,7 +12,7 @@ import adhmkit.plane as plane_mod
 import adhmkit.propsuite as propsuite
 from adhmkit.errors import DomainError
 from adhmkit.hirz import validate_hirz
-from adhmkit.linalg import DEFAULT_TOL, proj_point
+from adhmkit.linalg import DEFAULT_TOL, ToleranceConfig, proj_point
 from adhmkit.plane import validate_plane
 from adhmkit.propsuite import (
     PROPERTIES,
@@ -35,6 +35,44 @@ def test_generators_emit_valid_data_across_grid():
                 d = gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))
                 assert validate_hirz(d).passed
                 assert (d.n, d.c) == (n, c)
+
+
+def _validator_filtered_plane(rng, c):
+    """The plane generator when validate_plane chose its draws: redraw until it passes."""
+    for _ in range(16):
+        z = propsuite._distinct_scalars(rng, c)
+        w = propsuite._complex_normal(rng, c)
+        p = propsuite.random_well_conditioned(rng, c)
+        p_inv = np.linalg.inv(p)
+        e = propsuite._complex_normal(rng, c)
+        d = plane_mod.plane_adhm(p @ np.diag(z) @ p_inv, p @ np.diag(w) @ p_inv, e)
+        if validate_plane(d).passed:
+            return d
+    raise RuntimeError("rejection loop exhausted")
+
+
+def test_generator_certifies_the_draws_the_validator_accepted():
+    # the same triples from the same rng stream, so every generated point
+    # (plane or hirz, whose draw starts with a plane triple) is unchanged
+    grid = ([(c, seed) for c in range(1, 9) for seed in range(200)]
+            + [(c, seed) for c in (12, 16, 24, 32) for seed in range(40)])
+    for c, seed in grid:
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, b = propsuite._gen_plane(mine, c), _validator_filtered_plane(ref, c)
+        assert mine.bit_generator.state == ref.bit_generator.state, (c, seed)
+        assert all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                   for f in ("b1", "b2", "e")), (c, seed)
+
+
+def test_generators_do_not_consult_the_code_under_test():
+    # a rank cut this coarse fails every triple, so it must not reach the draws
+    coarse = ToleranceConfig(rank_rel_tol=0.5)
+    with mock.patch.object(plane_mod, "validate_plane", side_effect=AssertionError):
+        d = gen_hirz_valid(GenConfig(seed=4, n=2, c=5))
+        p = gen_plane_valid(GenConfig(seed=4, c=5))
+        ctx = _Ctx(seed=1, max_n=2, max_c=5, samples=1, tol=coarse)
+        assert ctx.hirz(2, 5, 4).A1.tobytes() == d.A1.tobytes()
+        assert ctx.plane(5, 4).b1.tobytes() == p.b1.tobytes()
 
 
 def test_generator_determinism():

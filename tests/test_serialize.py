@@ -113,6 +113,61 @@ def test_malformed_c_stack_length():
     assert exc.value.path.endswith("/C")
 
 
+def _one_of_each_kind():
+    d = gen_hirz_valid(GenConfig(seed=86, n=3, c=2))
+    y2 = complex(-0.0, 3)
+    return {"plane_adhm": gen_plane_valid(GenConfig(seed=86, c=3)), "hirz_adhm": d,
+            "chart_coords": to_chart(d, chart_set(d)[-1]),
+            "tot_point": tot_point(1 + 2j, y2, y2**2, (1 + 2j) ** 2, 2),
+            "ytilde_point": ytilde_point(2.0, 1.0, 0.5, 1.0, 2)}
+
+
+def _parse_error(data):
+    with pytest.raises(ParseError) as exc:
+        decode(data)
+    return exc.value.detail, exc.value.path
+
+
+def test_every_kind_in_the_table():
+    values = _one_of_each_kind()
+    assert set(values) == set(serialize._KINDS)
+    for kind, (cls, _, sizes, fields) in serialize._KINDS.items():
+        x = values[kind]
+        y = roundtrip(x)
+        assert type(y) is cls and list(encode(x)) == ["kind", *sizes, *fields]
+        assert all(getattr(y, s) == getattr(x, s) for s in sizes)
+        for f in fields:
+            assert np.asarray(getattr(y, f)).tobytes() == np.asarray(getattr(x, f)).tobytes()
+        for s in sizes:
+            if s != "m":  # the chart index may be 0; every other size is a count
+                assert _parse_error(dict(encode(x), **{s: 0})) == (f"{s} must be >= 1", f"$/{s}")
+        for f in fields:
+            data = encode(x)
+            del data[f]
+            assert _parse_error(data) == (f"missing key {f!r}", "$")
+    for kind in ([], 3, {"c": 1}, None):
+        assert _parse_error({"kind": kind}) == (f"unknown kind {kind!r}", "$/kind")
+
+
+def test_first_defect_in_key_order_is_reported():
+    # A1 comes before C in a hirz_adhm object, so its defect is reported
+    # first, and the C stack's length is checked where C is parsed
+    data = encode(gen_hirz_valid(GenConfig(seed=87, n=3, c=2)))
+    data["C"] = data["C"][:2]
+    assert _parse_error(data) == ("expected 3 C-matrices", "$/C")
+    data["A1"][1][0] = [1.0, "x"]
+    assert _parse_error(data) == ("expected a complex scalar [re, im]", "$/A1[1][0]")
+    del data["A1"], data["C"]
+    assert _parse_error(data) == ("missing key 'A1'", "$")
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    for text in ("[" * 100_000, '{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}"):
+        with pytest.raises(ParseError) as exc:
+            loads(text)
+        assert exc.value.detail.startswith("invalid JSON: ") and exc.value.path == "$"
+
+
 def test_decode_rejects_bools_and_nonfinite():
     base = json.loads(dumps(plane_adhm([[1.0]], [[2.0]], [1.0])))
     nobool = json.loads(json.dumps(base))

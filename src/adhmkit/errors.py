@@ -1,5 +1,14 @@
 """Exception types shared across the package; ``kind`` is each one's CLI error name."""
 
+__all__ = [
+    "ADHMKitError",
+    "ShapeError",
+    "DomainError",
+    "InvalidPointError",
+    "IndeterminateError",
+    "ParseError",
+]
+
 
 class ADHMKitError(Exception):
     """Base class for every error raised by this package."""

@@ -60,6 +60,7 @@ __all__ = [
     "ChartCoords",
     "hirz_adhm",
     "chart_coords",
+    "plane_part",
     "validate_p1",
     "validate_p2",
     "validate_p3",

@@ -18,19 +18,11 @@ import numpy as np
 
 from .errors import DomainError, InvalidPointError, ShapeError
 
+# what adhmkit re-exports; as_matrix, rank_tol, kernel_basis and the other
+# helpers the modules share are imported from here by name
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
-    "freeze",
-    "as_int",
-    "as_matrix",
-    "as_covector",
-    "rank_tol",
-    "kernel_basis",
-    "eigenvalues",
-    "greedy_match",
-    "mats_close",
-    "rel_err",
     "BinaryForm",
     "binary_form",
     "binary_form_roots",

@@ -559,11 +559,8 @@ def _prop_geom_c1(ctx, i, n, c, seed):
     x2 = complex(_complex_normal(rng, 1)[0])
     if n == 1:
         x1 = x2
-    elif abs(y1) > 0:
+    else:  # y1 is a continuous draw, so it is nonzero
         x1 = x2 * y2 ** (n - 1) / y1 ** (n - 1)
-    else:
-        x1 = complex(_complex_normal(rng, 1)[0])
-        x2 = 0.0 + 0.0j
     p = geom_mod.ytilde_point(y1, y2, x1, x2, n)
     d = geom_mod.ytilde_to_p1(p, n, ctx.tol)
     if not hirz_mod.validate_hirz(d, ctx.tol).passed:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 from .errors import IndeterminateError, InvalidPointError
 
+__all__ = ["Check", "ValidationReport", "merge"]
+
 PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"

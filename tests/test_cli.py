@@ -10,8 +10,8 @@ import pytest
 
 from adhmkit import cli
 from adhmkit.hirz import chart_coords, hirz_adhm
-from adhmkit.plane import plane_adhm
-from adhmkit.propsuite import GenConfig, gen_hirz_valid
+from adhmkit.plane import act_gl, plane_adhm
+from adhmkit.propsuite import GenConfig, gen_hirz_valid, gen_plane_valid
 from adhmkit.serialize import dumps, load_path, loads
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -216,7 +216,7 @@ def test_canonical_dispatches_on_kind(capsys):
     assert "chart" in payload and payload["point"]["kind"] == "hirz_adhm"
 
 
-def test_orbit_equal_exit_codes(capsys):
+def test_orbit_equal_exit_codes(capsys, tmp_path):
     code, payload = run(capsys, "orbit-equal", g("hirz_valid_n2c2.json"),
                         g("hirz_valid_n2c2_gauged.json"))
     assert code == 0 and payload["equal"] is True
@@ -226,6 +226,14 @@ def test_orbit_equal_exit_codes(capsys):
     code, payload = run(capsys, "orbit-equal", g("hirz_valid_n2c2.json"),
                         g("plane_valid_c2.json"))
     assert code == 2 and payload["error"] == "kind"
+    d = load_path(g("plane_valid_c2.json"))
+    moved, other = tmp_path / "moved.json", tmp_path / "other.json"
+    moved.write_text(dumps(act_gl(d, np.array([[2.0, 1j], [0.5, 1.0]]))))
+    other.write_text(dumps(gen_plane_valid(GenConfig(seed=3, c=2))))
+    code, payload = run(capsys, "orbit-equal", g("plane_valid_c2.json"), str(moved))
+    assert code == 0 and payload["equal"] is True
+    code, payload = run(capsys, "orbit-equal", g("plane_valid_c2.json"), str(other))
+    assert code == 1 and payload["equal"] is False
 
 
 def test_support_and_chart_pairs(capsys):

@@ -2,7 +2,6 @@ import dataclasses
 import inspect
 import pickle
 import re
-import time
 
 import numpy as np
 import pytest
@@ -289,12 +288,15 @@ def test_syst_rank_frozen_and_grid():
         syst_rank(np.eye(2), np.eye(2), 1)
 
 
-def test_syst_rank_at_largest_supported_size():
-    # the full system would be 7168 x 8192; its factor M_A is 224 x 256
+def test_syst_rank_at_largest_supported_size(monkeypatch):
+    # the full system would be 7168 x 8192; its rank is read off one SVD of
+    # its 224 x 256 Kronecker factor M_A
     d = gen_hirz_valid(GenConfig(seed=1, n=8, c=32))
-    start = time.perf_counter()
+    shapes = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: shapes.append(a.shape) or real(a, *r, **k))
     assert syst_rank(d.A1, d.A2, d.n) == 7 * 32 * 32 == 7168
-    assert time.perf_counter() - start < 1.0
+    assert shapes == [(224, 256)]
 
 
 def test_syst_rank_refuses_a_cut_without_gap():
@@ -320,6 +322,19 @@ def test_canonicalize_and_orbit_equal():
     assert orbit_equal(d, d)
     other = gen_hirz_valid(GenConfig(seed=48, n=2, c=2))
     assert not orbit_equal(d, other)
+
+
+def test_orbit_equal_is_false_when_first_charts_differ():
+    # b1 has the eigenvalue cot(theta_1), so A2 = A (cos_1 - sin_1 b1) is
+    # singular: the point's chart set starts at 1, a generic point's at 0
+    ap = angle_pair(2, 1)
+    plane = from_points([(ap.cos_val / ap.sin_val, 0.5), (-0.4, 1.5)])
+    d = from_chart(1, plane, np.array([[1.0, 0.3], [0.2, 1.1]]), 2)
+    generic = gen_hirz_valid(GenConfig(seed=1, n=2, c=2))
+    assert validate_hirz(d).passed and chart_set(d)[0] == 1
+    assert canonicalize(d)[1] == 1 and canonicalize(generic)[1] == 0
+    assert not orbit_equal(d, generic)
+    assert not orbit_equal(generic, d)
 
 
 def test_orbit_equal_shape_mismatch_is_false():

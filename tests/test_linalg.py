@@ -14,6 +14,7 @@ from adhmkit.linalg import (
     BinaryForm,
     ProjPoint,
     ToleranceConfig,
+    as_covector,
     binary_form,
     binary_form_roots,
     eigenvalues,
@@ -187,6 +188,14 @@ def test_mats_close_and_rel_err():
     assert not mats_close(a, a + 1.0, DEFAULT_TOL)
     assert rel_err(a, a) == 0.0
     assert rel_err(np.zeros(2), np.zeros(2)) == 0.0
+
+
+def test_as_covector_accepts_a_one_row_matrix():
+    v = as_covector([[1.0, 2j, -3.0]], "e", 3)
+    assert v.dtype == np.complex128 and v.shape == (3,)
+    assert np.array_equal(v, [1.0, 2j, -3.0])
+    with pytest.raises(ShapeError, match=r"e: expected a row of length 3, got shape \(2, 3\)"):
+        as_covector(np.ones((2, 3)), "e", 3)
 
 
 def test_random_well_conditioned_bound():

@@ -29,24 +29,28 @@ import numpy as np
 
 from . import geometry, hirz, plane, serialize
 from .errors import ADHMKitError, ParseError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, ToleranceConfig
 from .report import FAIL, INDETERMINATE, PASS, merge
 from .sigma import sigma_matrix
 
-_TOL_KEYS = {"rank": "rank_rel_tol", "eq": "eq_rel_tol", "root": "root_cluster_tol"}
+# short key -> tolerance field, for ADHMKIT_TOL entries and --tol.<key> flags
+_TOL_FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(ToleranceConfig)}
 
 
 class _CliError(ADHMKitError):
-    def __init__(self, kind, detail):
+    def __init__(self, kind, detail, path=None):
         super().__init__(detail)
-        self.kind = kind
+        self.kind, self.path = kind, path
 
 
 def _emit(payload, out_path):
     text = serialize.dumps(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _CliError("output", f"cannot write output: {exc.strerror}", out_path) from None
         return
     try:
         print(text, flush=True)
@@ -69,28 +73,25 @@ def _expect(obj, kind_cls, what):
 
 def _resolve_tol(args):
     values = {}
-    env = os.environ.get("ADHMKIT_TOL", "")
-    if env.strip():
-        for item in env.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise _CliError("config", f"ADHMKIT_TOL entry {item!r} is not key=value")
-            key, _, raw = item.partition("=")
-            key = key.strip()
-            if key not in _TOL_KEYS:
-                raise _CliError("config", f"ADHMKIT_TOL key {key!r} unknown "
-                                          f"(expected one of {sorted(_TOL_KEYS)})")
-            try:
-                values[_TOL_KEYS[key]] = float(raw)
-            except ValueError:
-                raise _CliError("config", f"ADHMKIT_TOL value {raw!r} is not a number") from None
-    for flag, field in (("tol_rank", "rank_rel_tol"), ("tol_eq", "eq_rel_tol"),
-                        ("tol_root", "root_cluster_tol")):
-        v = getattr(args, flag, None)
+    for item in os.environ.get("ADHMKIT_TOL", "").split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if "=" not in item:
+            raise _CliError("config", f"ADHMKIT_TOL entry {item!r} is not key=value")
+        key, _, raw = item.partition("=")
+        key = key.strip()
+        if key not in _TOL_FIELDS:
+            raise _CliError("config", f"ADHMKIT_TOL key {key!r} unknown "
+                                      f"(expected one of {sorted(_TOL_FIELDS)})")
+        try:
+            values[_TOL_FIELDS[key].name] = float(raw)
+        except ValueError:
+            raise _CliError("config", f"ADHMKIT_TOL value {raw!r} is not a number") from None
+    for key, field in _TOL_FIELDS.items():
+        v = getattr(args, f"tol_{key}", None)
         if v is not None:
-            values[field] = v
+            values[field.name] = v
     try:
         return dataclasses.replace(DEFAULT_TOL, **values)
     except (ValueError, TypeError) as exc:
@@ -222,12 +223,9 @@ def _cmd_property_run(args, tol):
 
 
 def _add_tol_flags(p):
-    p.add_argument("--tol.rank", dest="tol_rank", type=float, default=None,
-                   help="relative singular value cutoff for rank decisions")
-    p.add_argument("--tol.eq", dest="tol_eq", type=float, default=None,
-                   help="relative tolerance for equality of matrices and multisets")
-    p.add_argument("--tol.root", dest="tol_root", type=float, default=None,
-                   help="clustering radius for coincident roots")
+    for key, field in _TOL_FIELDS.items():
+        p.add_argument(f"--tol.{key}", dest=f"tol_{key}", type=float, default=None,
+                       help=field.metadata["help"])
     p.add_argument("--out", default=None, help="write JSON output to this file")
 
 
@@ -319,7 +317,7 @@ def main(argv=None) -> int:
         _emit({"error": exc.kind, "path": exc.path, "detail": exc.detail}, None)
         return 2
     except ADHMKitError as exc:
-        _emit({"error": exc.kind, "path": None, "detail": str(exc)}, None)
+        _emit({"error": exc.kind, "path": getattr(exc, "path", None), "detail": str(exc)}, None)
         return 2
     except Exception as exc:  # never leak a traceback through the CLI
         _emit({"error": "internal", "path": None, "detail": f"{type(exc).__name__}: {exc}"}, None)

@@ -17,7 +17,7 @@ import numpy as np
 from . import hirz as hirz_mod
 from . import plane as plane_mod
 from .errors import InvalidPointError, ShapeError
-from .hirz import HirzADHM, hirz_adhm, to_chart
+from .hirz import _MAX_TWIST, HirzADHM, hirz_adhm, to_chart
 from .linalg import (
     DEFAULT_TOL,
     BinaryForm,
@@ -78,8 +78,8 @@ class YTildePoint:
 
 
 def _c1_point(who, n, y1, y2, a1, a2, k, relation):
-    """Checks shared by the c = 1 models: n >= 1, (y1, y2) != 0, a1 y1^k = a2 y2^k."""
-    as_int(n, who, "n", 1)
+    """Checks shared by the c = 1 models: n in 1..64, (y1, y2) != 0, a1 y1^k = a2 y2^k."""
+    as_int(n, who, "n", 1, _MAX_TWIST)
     if y1 == 0 and y2 == 0:
         raise InvalidPointError(f"{who}: (y1, y2) must not both vanish")
     lhs = a1 * y1**k
@@ -205,7 +205,7 @@ def ytilde_to_p1(p: YTildePoint, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> 
     On |y1| >= |y2| the C-stack is C_q = (y2/y1)^(n-q) x2; otherwise
     C_q = (y1/y2)^(q-1) x1.  Ties take the first branch.
     """
-    as_int(n, "ytilde_to_p1", "n", 1)
+    as_int(n, "ytilde_to_p1", "n", 1, _MAX_TWIST)
     p = ytilde_point(p.y1, p.y2, p.x1, p.x2, n)  # re-check relation at this n
     if abs(p.y1) >= abs(p.y2):
         ratio = p.y2 / p.y1

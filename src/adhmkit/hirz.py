@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plane as plane_mod
-from .errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
+from .errors import DomainError, InvalidPointError, ShapeError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -47,11 +47,13 @@ from .linalg import (
     _ArrayValue,
     _inverse_at_tol,
     _memoized,
+    _operator_scale,
+    _rank_cut,
     binary_form_roots,
     kernel_basis,
     mats_close,
 )
-from .plane import PlaneADHM
+from .plane import _MAX_TWIST, PlaneADHM
 from .report import FAIL, INDETERMINATE, PASS, Check, ValidationReport, _residual_check, merge
 from .sigma import angle_pair, sigma_matrix
 
@@ -77,9 +79,6 @@ __all__ = [
     "orbit_equal",
     "jacobian_nullity",
 ]
-
-_MAX_TWIST = 64
-_GAP_MIN = 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +177,9 @@ def validate_p2(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
     identically zero, so the pencil is nondegenerate iff some A2m is
     invertible.  The c+1 chart frames A2m are built as one (c+1, c, c) stack
     and judged by one stacked determinant and one stacked singular-value
-    call: chart m is available when s_min > rank_rel_tol * s_max.  An empty
-    chart set with nonzero matrices is reported indeterminate because the
-    determinants sit below the noise floor without being certainly zero.
+    call: chart m is available when linalg._rank_cut counts it rank c.  An
+    empty chart set with nonzero matrices is reported indeterminate because
+    the determinants sit below the noise floor without being certainly zero.
     """
     aps = [angle_pair(d.c, m) for m in range(d.c + 1)]
     sin = np.array([ap.sin_val for ap in aps])[:, None, None]
@@ -188,7 +187,7 @@ def validate_p2(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
     frames = sin * d.A1 + cos * d.A2
     dets = [complex(z) for z in np.linalg.det(frames)]
     s = np.linalg.svd(frames, compute_uv=False)
-    charts = [m for m in range(d.c + 1) if s[m, -1] > tol.rank_rel_tol * s[m, 0]]
+    charts = [m for m, sm in enumerate(s) if _rank_cut(sm, tol) == d.c]
     detail = "chart determinants: " + ", ".join(f"{z:.3e}" for z in dets)
     if charts:
         verdict = PASS
@@ -264,10 +263,7 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
     scale_c1 = float(np.linalg.norm(c1a2))
     scale_cn = float(np.linalg.norm(cna1))
     norm_e = float(np.linalg.norm(d.e))
-    # at a computed root the pencil matrix is pure cancellation noise in the
-    # degenerate directions, so rank decisions must be anchored at the scale
-    # of the generators rather than at the residual's own largest value
-    op_scale = max(float(np.linalg.norm(d.A1)), float(np.linalg.norm(d.A2)), 1.0)
+    op_scale = _operator_scale(d.A1, d.A2)
     for idx, (pt, mult) in enumerate(roots):
         lam1, lam2 = pt.lam1, pt.lam2
         pencil = lam2 * d.A1 + lam1 * d.A2
@@ -430,40 +426,20 @@ def _assemble_from_chart(m, b1, b2, e, A, A_inv, n, c_base) -> HirzADHM:
     return HirzADHM(n=n, c=c, A1=a1, A2=a2, C=cs, e=e)
 
 
-def _probe_rank(matrix: np.ndarray, tol: ToleranceConfig, who: str) -> int:
-    """Numerical rank of a probe matrix, refused when its cut has no clear gap.
-
-    Singular values above rank_rel_tol * s_max count.  When some are cut, the
-    smallest kept one over the largest cut one must be at least _GAP_MIN;
-    otherwise IndeterminateError names ``who``.
-    """
-    s = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-    if rank < s.size:
-        kept = s[rank - 1] if rank > 0 else np.inf
-        discarded = s[rank]
-        if discarded > 0 and kept / discarded < _GAP_MIN:
-            raise IndeterminateError(
-                f"{who}: no clear spectral gap "
-                f"(kept {kept:.3e} / discarded {discarded:.3e} < {_GAP_MIN:.0e})"
-            )
-    return rank
-
-
 def syst_rank(A1, A2, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of the left intertwining system as a block matrix on the C-stack.
 
     The (n-1)c^2 x n c^2 system has block row q equal to
     (0 ... 0, A1 (x) 1, -A2 (x) 1, 0 ... 0) acting on row-major vectorized
     C-matrices, so it is M_A (x) 1 with M_A the (n-1)c x nc matrix of block
-    rows (0 ... 0, A1, -A2, 0 ... 0), and its rank is c _probe_rank(M_A).
-    At nondegenerate pencils the rank is maximal, (n-1) c^2.
+    rows (0 ... 0, A1, -A2, 0 ... 0), and its rank is c rank(M_A), refused by
+    linalg._rank_cut without a gap.  At nondegenerate pencils it is (n-1) c^2.
     """
     A1 = as_matrix(A1, "A1", "square")
     A2 = as_matrix(A2, "A2", A1.shape)
-    as_int(n, "syst_rank", "n", 2)
+    as_int(n, "syst_rank", "n", 2, _MAX_TWIST)
     m_a = np.kron(np.eye(n - 1, n), A1) - np.kron(np.eye(n - 1, n, 1), A2)
-    return A1.shape[0] * _probe_rank(m_a, tol, "syst_rank")
+    return A1.shape[0] * _rank_cut(np.linalg.svd(m_a, compute_uv=False), tol, who="syst_rank")
 
 
 def transition_omega(cc: ChartCoords, l: int, tol: ToleranceConfig = DEFAULT_TOL) -> ChartCoords:
@@ -521,13 +497,14 @@ def jacobian_nullity(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     is therefore 3c^2 + c - r, r being the rank of the c^2 x 2c^2 map
     (dB, dE) -> [dB, E] + [B, dE], built from vec(a X b) = (a (x) b^T) vec(X);
     it copies entries of B and E exactly, so it vanishes exactly at c = 1.
-    r is _probe_rank's: singular values above rank_rel_tol * s_max count, and
-    a cut without a singular-value gap of at least 1e3 is indeterminate.
+    r is linalg._rank_cut's: singular values above rank_rel_tol * s_max count,
+    and a cut without a singular-value gap of at least 1e3 is indeterminate.
     """
     m = validate_hirz(d, tol).require("jacobian_nullity").chart_set[0]
     cc = to_chart(d, m, tol)
     eye = np.eye(d.c)
     jac = np.hstack([np.kron(eye, cc.E.T) - np.kron(cc.E, eye),
                      np.kron(cc.B, eye) - np.kron(eye, cc.B.T)])
-    return 3 * d.c * d.c + d.c - _probe_rank(jac, tol, "jacobian_nullity")
+    s = np.linalg.svd(jac, compute_uv=False)
+    return 3 * d.c * d.c + d.c - _rank_cut(s, tol, who="jacobian_nullity")
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, InvalidPointError, ShapeError
+from .errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
 
 # what adhmkit re-exports; as_matrix, rank_tol, kernel_basis and the other
 # helpers the modules share are imported from here by name
@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _field_names(cls):
+    """The init fields of a dataclass and the array fields among them, read once per class."""
+    init = [f for f in fields(cls) if f.init]
+    return tuple(f.name for f in init), tuple(f.name for f in init if f.type not in ("int", int))
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Relative thresholds used by every tolerance-aware decision.
@@ -41,14 +48,18 @@ class ToleranceConfig:
     eq_rel_tol     -- relative threshold for residual/equality tests.
     root_cluster_tol -- projective roots closer than this are merged into a
                       single root with multiplicity.
+    Field metadata: the CLI's key (ADHMKIT_TOL, --tol.<key>) and help text.
     """
 
-    rank_rel_tol: float = 1e-9
-    eq_rel_tol: float = 1e-8
-    root_cluster_tol: float = 1e-6
+    rank_rel_tol: float = field(default=1e-9, metadata={
+        "key": "rank", "help": "relative singular value cutoff for rank decisions"})
+    eq_rel_tol: float = field(default=1e-8, metadata={
+        "key": "eq", "help": "relative tolerance for equality of matrices and multisets"})
+    root_cluster_tol: float = field(default=1e-6, metadata={
+        "key": "root", "help": "clustering radius for coincident roots"})
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "eq_rel_tol", "root_cluster_tol"):
+        for name in _field_names(self.__class__)[0]:
             value = getattr(self, name)
             if not (isinstance(value, float) and 0.0 < value < 1.0):
                 raise ValueError(f"{name} must be a float in (0, 1), got {value!r}")
@@ -62,13 +73,6 @@ def freeze(a) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
-
-
-@functools.cache
-def _field_names(cls):
-    """The init fields of a dataclass and the array fields among them, read once per class."""
-    init = [f for f in fields(cls) if f.init]
-    return tuple(f.name for f in init), tuple(f.name for f in init if f.type not in ("int", int))
 
 
 class _ArrayValue:
@@ -213,11 +217,32 @@ def as_covector(a, name="covector", length=None) -> np.ndarray:
     return v
 
 
+_GAP_MIN = 1e3
+
+
+def _rank_cut(s: np.ndarray, tol: ToleranceConfig, scale=None, who=None) -> int:
+    """The one rank rule: how many descending singular values s exceed
+    rank_rel_tol * s[0], or rank_rel_tol * scale when one is given; when
+    ``who`` names the caller, a cut whose smallest kept over largest
+    discarded nonzero value is below _GAP_MIN raises IndeterminateError."""
+    rank = int(np.count_nonzero(s > tol.rank_rel_tol * (s[0] if scale is None else scale)))
+    if who is not None and rank < s.size and s[rank] > 0:
+        kept = s[rank - 1] if rank > 0 else np.inf
+        if kept / s[rank] < _GAP_MIN:
+            raise IndeterminateError(f"{who}: no clear spectral gap (kept {kept:.3e} / "
+                                     f"discarded {s[rank]:.3e} < {_GAP_MIN:.0e})")
+    return rank
+
+
+def _operator_scale(*ops) -> float:
+    """max(|op|_F, 1.0) over ops: the scale a kernel cut of residuals built
+    from ops is anchored at, since they may be pure cancellation noise."""
+    return float(max(*map(np.linalg.norm, ops), 1.0))
+
+
 def rank_tol(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above rank_rel_tol * largest."""
-    m = as_matrix(m, "rank_tol")
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    return _rank_cut(np.linalg.svd(as_matrix(m, "rank_tol"), compute_uv=False), tol)
 
 
 def _inverse_at_tol(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
@@ -245,16 +270,13 @@ def kernel_basis(m, tol: ToleranceConfig = DEFAULT_TOL, scale=None) -> np.ndarra
     """Orthonormal basis of the numerical null space, as columns.
 
     Returns an array of shape (cols, k); k == 0 when the matrix has full
-    column rank.  By default singular values are compared against the
-    largest one of ``m`` itself; pass ``scale`` when ``m`` is a residual
-    that may consist entirely of roundoff noise, so that the cutoff is
-    rank_rel_tol * scale instead of relative to the noise floor.
+    column rank.  Pass ``scale`` (see _operator_scale) when ``m`` is a
+    residual that may be pure roundoff noise, to cut at rank_rel_tol * scale.
     """
     m = as_matrix(m, "kernel_basis")
     # a wide m needs the full vh for its kernel; a tall one has all of it thin
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    r = int(np.count_nonzero(s > tol.rank_rel_tol * (s[0] if scale is None else scale)))
-    return vh[r:].conj().T
+    return vh[_rank_cut(s, tol, scale):].conj().T
 
 
 def eigenvalues(m) -> np.ndarray:

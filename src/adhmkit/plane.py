@@ -30,6 +30,7 @@ from .linalg import (
     _ArrayValue,
     _inverse_at_tol,
     _memoized,
+    _operator_scale,
     freeze,
     kernel_basis,
     mats_close,
@@ -48,6 +49,8 @@ __all__ = [
     "canonical_form",
     "orbit_equal_plane",
 ]
+
+_MAX_TWIST = 64  # the largest twist n of O(-n) any function accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +88,7 @@ def _stable_subspace_dim(b1, b2, e, tol: ToleranceConfig) -> int:
     Shrinks V_0 = ker(e) by V_{k+1} = {v in V_k : b1 v, b2 v in V_k} until
     the dimension stabilizes; at most c steps are needed.
     """
-    # residual columns live at the scale of the operators, not of their own
-    # noise floor, so the kernel cut must be anchored there
-    scale = max(np.linalg.norm(b1), np.linalg.norm(b2), 1.0)
+    scale = _operator_scale(b1, b2)
     v = kernel_basis(e.reshape(1, -1), tol)
     while v.shape[1] > 0:
         proj = v @ v.conj().T
@@ -193,7 +194,7 @@ def transition_plane(
     it is global atlas data, independent of the matrix size.
     """
     who = "transition_plane"
-    as_int(n, who, "n", 1)
+    as_int(n, who, "n", 1, _MAX_TWIST)
     ap = angle_pair(c_base, as_int(m, who, "m") - as_int(l, who, "l"))
     ident = np.eye(d.c)
     f = ap.cos_val * ident - ap.sin_val * d.b1

@@ -33,7 +33,7 @@ from .linalg import (
     random_well_conditioned,
     rel_err,
 )
-from .plane import PlaneADHM, plane_adhm
+from .plane import _MAX_TWIST, PlaneADHM, plane_adhm
 from .sigma import angle_pair, sigma_matrix
 
 __all__ = [
@@ -659,8 +659,9 @@ def run_suite(seed=2026, max_n=3, max_c=6, samples=100, name_filter=None,
     run in forked workers, one per allowed CPU; the report is the same as
     from running them one after another in this process.
     """
-    for label, v, lo in (("max_n", max_n, 1), ("max_c", max_c, 1), ("samples", samples, 0)):
-        as_int(v, "run_suite", label, lo)
+    as_int(max_n, "run_suite", "max_n", 1, _MAX_TWIST)
+    as_int(max_c, "run_suite", "max_c", 1)
+    as_int(samples, "run_suite", "samples", 0)
     ctx = _Ctx(seed=seed, max_n=max_n, max_c=max_c, samples=samples, tol=tol)
     warning = ""
     if samples == 0:

@@ -388,6 +388,16 @@ def test_out_flag_writes_file_not_stdout(capsys, tmp_path):
     assert json.loads(target.read_text())["passed"] is True
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_out_is_an_output_error(capsys, tmp_path, where):
+    # open() raised FileNotFoundError or IsADirectoryError, printed as "internal"
+    target = str(tmp_path / where)
+    code, payload = run(capsys, "validate", g("hirz_valid_n2c2.json"), "--out", target)
+    assert code == 2
+    assert payload["error"] == "output" and payload["path"] == target
+    assert payload["detail"].startswith("cannot write output: ")
+
+
 # every subcommand that reads files: (argv after the command, its inputs, inputs of a wrong kind)
 FILE_COMMANDS = [
     ("validate", [], ["hirz_valid_n2c2.json"], ["plane_valid_c2.json"]),

@@ -280,9 +280,9 @@ def test_point_factories_check_relations():
 @pytest.mark.parametrize("n", [0, -1])
 def test_point_factories_reject_nonpositive_n(n):
     # with y1 = 0 a negative exponent would divide by zero before any relation check
-    with pytest.raises(DomainError, match="ytilde_point: n must be an integer >= 1"):
+    with pytest.raises(DomainError, match="ytilde_point: n must be an integer in 1..64"):
         ytilde_point(0, 1, 1, 0, n)
-    with pytest.raises(DomainError, match="tot_point: n must be an integer >= 1"):
+    with pytest.raises(DomainError, match="tot_point: n must be an integer in 1..64"):
         tot_point(0, 1, 1, 0, n)
     with pytest.raises(DomainError):
         ytilde_point(1, 2, 2, 1, n)

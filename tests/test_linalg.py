@@ -7,8 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhmkit import linalg
-from adhmkit.errors import DomainError, InvalidPointError, ShapeError
-from adhmkit.hirz import act_gl2, from_chart, hirz_adhm, to_chart, validate_hirz
+from adhmkit.errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
+from adhmkit.hirz import (
+    act_gl2,
+    chart_set,
+    from_chart,
+    hirz_adhm,
+    jacobian_nullity,
+    syst_rank,
+    to_chart,
+    validate_hirz,
+)
 from adhmkit.linalg import (
     DEFAULT_TOL,
     BinaryForm,
@@ -77,6 +86,54 @@ def test_kernel_basis_noise_needs_external_scale():
     noise = 1e-15 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     assert kernel_basis(noise).shape[1] == 0
     assert kernel_basis(noise, scale=1.0).shape[1] == 3
+
+
+# spectra (s_max = 1, cut at rank_rel_tol = 1e-9) whose smallest kept or
+# largest discarded value lies 1% from the cut, with a kept/discarded gap
+# of 2e3 or 5e2 (or 1e9 beside 1.0), and whether the probes must refuse
+_CUT = 1e-9
+_SPECTRA = {
+    "kept_no_cut": ((1.0, 1.0, 1.0, 1.01 * _CUT), False),
+    "discarded_wide_gap": ((1.0, 1.0, 1.0, 0.99 * _CUT), False),
+    "kept_gap_2e3": ((1.0, 1.0, 1.01 * _CUT, 1.01 * _CUT / 2e3), False),
+    "kept_gap_5e2": ((1.0, 1.0, 1.01 * _CUT, 1.01 * _CUT / 5e2), True),
+    "discarded_gap_2e3": ((1.0, 1.0, 0.99 * _CUT * 2e3, 0.99 * _CUT), False),
+    "discarded_gap_5e2": ((1.0, 1.0, 0.99 * _CUT * 5e2, 0.99 * _CUT), True),
+    "zero": ((0.0, 0.0, 0.0, 0.0), False),
+}
+
+
+def _probe_agrees(call, who, refuses, want):
+    """call() refuses with who's gap message when refuses is true, else returns want."""
+    if refuses:
+        with pytest.raises(IndeterminateError, match=f"^{who}: no clear spectral gap \\(kept "):
+            call()
+    else:
+        assert call() == want
+
+
+@pytest.mark.parametrize("name", sorted(_SPECTRA))
+def test_every_rank_cut_agrees_at_the_cut(name, monkeypatch):
+    spectrum, refuses = _SPECTRA[name]
+    c = len(spectrum)
+    q = np.linalg.qr(np.random.default_rng(11).normal(size=(c, c)))[0]
+    a = (q * spectrum) @ q.T  # singular values spectrum, up to rounding
+    rank = sum(v > _CUT for v in spectrum)
+    assert rank_tol(a) == rank
+    assert c - kernel_basis(a).shape[1] == rank
+    # with A1 = 0, chart 0's frame sin_0 A1 + cos_0 A2 is A2 itself
+    d = hirz_adhm(1, c, np.zeros((c, c)), a, (np.zeros((c, c)),), np.ones(c))
+    assert (0 in chart_set(d)) == (rank == c)
+    # syst_rank's Kronecker factor at n = 2 is (A1, -A2), so with A2 = 0 it
+    # has A1's singular values
+    _probe_agrees(lambda: syst_rank(a, np.zeros((c, c)), 2), "syst_rank", refuses, c * rank)
+    # jacobian_nullity at a valid c = 2 point cuts one 4 x 8 matrix: hand it
+    # the same spectrum
+    p = gen_hirz_valid(GenConfig(seed=5, n=2, c=2))
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *r, **k: np.array(spectrum)
+                        if m.shape == (4, 8) else real(m, *r, **k))
+    _probe_agrees(lambda: jacobian_nullity(p), "jacobian_nullity", refuses, 3 * 4 + 2 - rank)
 
 
 def test_eigenvalues_frozen():

@@ -137,9 +137,16 @@ def _int_argument_calls():
         "reconstruct_C": (lambda x: reconstruct_C(one, one, 0, x, 1),
                           (65, "reconstruct_C: n must be an integer in 1..64, got 65")),
         "syst_rank": (lambda x: syst_rank(one, one, x),
-                      (1, "syst_rank: n must be an integer >= 2, got 1")),
+                      (1, "syst_rank: n must be an integer in 2..64, got 1")),
+        # twists above 64 were accepted: syst_rank built kron(eye(n-1, n), A1),
+        # transition_plane overflowed F^n to NaN (the CLI printed "internal"),
+        # and run_suite failed inside a property at reconstruct_C
+        "syst_rank_max": (lambda x: syst_rank(one, one, x),
+                          (65, "syst_rank: n must be an integer in 2..64, got 65")),
         "transition_plane": (lambda x: transition_plane(plane_part(cc), cc.m, cc.m, x, d.c),
-                             (0, "transition_plane: n must be an integer >= 1, got 0")),
+                             (0, "transition_plane: n must be an integer in 1..64, got 0")),
+        "transition_plane_max": (lambda x: transition_plane(plane_part(cc), cc.m, cc.m, x, d.c),
+                                 (65, "transition_plane: n must be an integer in 1..64, got 65")),
         "transition_plane_m": (lambda x: transition_plane(plane_part(cc), x, cc.m, d.n, d.c),
                                None),
         "transition_plane_l": (lambda x: transition_plane(plane_part(cc), cc.m, x, d.n, d.c),
@@ -147,11 +154,16 @@ def _int_argument_calls():
         "from_chart_m": (lambda x: from_chart(x, plane_part(cc), cc.A2m, d.n),
                          (4, "from_chart: m must be an integer in 0..3, got 4")),
         "ytilde_point": (lambda x: ytilde_point(1, 1, 1, 1, x),
-                         (0, "ytilde_point: n must be an integer >= 1, got 0")),
+                         (0, "ytilde_point: n must be an integer in 1..64, got 0")),
         "tot_point_n": (lambda x: tot_point(1, 1, 1, 1, x),
-                        (0, "tot_point: n must be an integer >= 1, got 0")),
+                        (0, "tot_point: n must be an integer in 1..64, got 0")),
+        "tot_point_n_max": (lambda x: tot_point(1, 1, 1, 1, x),
+                            (65, "tot_point: n must be an integer in 1..64, got 65")),
         "ytilde_to_p1": (lambda x: ytilde_to_p1(ytilde_point(1, 1, 1, 1, 1), x),
-                         (0, "ytilde_to_p1: n must be an integer >= 1, got 0")),
+                         (0, "ytilde_to_p1: n must be an integer in 1..64, got 0")),
+        # named hirz_adhm, which the lift calls, instead of ytilde_to_p1
+        "ytilde_to_p1_max": (lambda x: ytilde_to_p1(ytilde_point(1, 1, 1, 1, 1), x),
+                             (65, "ytilde_to_p1: n must be an integer in 1..64, got 65")),
         "um_membership_c_base": (lambda x: um_membership([1, 1], 0, x),
                                  (0, "um_membership: c_base must be an integer >= 1, got 0")),
         "angle_pair_c_base": (lambda x: angle_pair(x, 0),
@@ -162,7 +174,9 @@ def _int_argument_calls():
         "run_suite_samples": (lambda x: run_suite(seed=1, max_n=1, max_c=1, samples=x),
                               (-1, "run_suite: samples must be an integer >= 0, got -1")),
         "run_suite_max_n": (lambda x: run_suite(seed=1, max_n=x, max_c=1, samples=0),
-                            (0, "run_suite: max_n must be an integer >= 1, got 0")),
+                            (0, "run_suite: max_n must be an integer in 1..64, got 0")),
+        "run_suite_max_n_max": (lambda x: run_suite(seed=1, max_n=x, max_c=1, samples=0),
+                                (65, "run_suite: max_n must be an integer in 1..64, got 65")),
         "run_suite_max_c": (lambda x: run_suite(seed=1, max_n=1, max_c=x, samples=0),
                             (0, "run_suite: max_c must be an integer >= 1, got 0")),
     }

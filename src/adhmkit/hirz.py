@@ -477,14 +477,7 @@ def orbit_equal(d1: HirzADHM, d2: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) 
         return False
     can1, m1 = canonicalize(d1, tol)
     can2, m2 = canonicalize(d2, tol)
-    if m1 != m2:
-        return False
-    return (
-        mats_close(can1.A1, can2.A1, tol)
-        and mats_close(can1.A2, can2.A2, tol)
-        and all(mats_close(x, y, tol) for x, y in zip(can1.C, can2.C))
-        and mats_close(can1.e, can2.e, tol)
-    )
+    return m1 == m2 and mats_close(can1, can2, tol)
 
 
 def jacobian_nullity(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> int:

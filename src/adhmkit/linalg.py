@@ -83,9 +83,9 @@ class _ArrayValue:
     built: through its factory (which checks outside input), its constructor
     (which library code calls on values it built from checked ones),
     dataclasses.replace or unpickling, which goes through the constructor.
-    == is exact equality field by field; values stay unhashable.  Each value
-    starts with an empty _memo for _memoized; it is not a field, so it is
-    never compared, shown or pickled.
+    == is exact equality over the field walk (_fields_dist) that rel_err and
+    mats_close take at tolerance; values stay unhashable.  Each value starts
+    with an empty _memo for _memoized: not a field, never compared, shown or pickled.
     """
 
     def __post_init__(self):
@@ -98,15 +98,28 @@ class _ArrayValue:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = ((getattr(self, k), getattr(other, k)) for k in _field_names(self.__class__)[0])
-        return all(
-            len(a) == len(b) and all(map(np.array_equal, a, b)) if isinstance(a, tuple)
-            else np.array_equal(a, b)
-            for a, b in pairs
-        )
+        return _fields_dist(self, other, lambda a, b: float(not np.array_equal(a, b))) == 0
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, k) for k in _field_names(self.__class__)[0])
+
+
+def _fields_dist(x, y, dist) -> float:
+    """The largest dist(a, b) over the array fields of values x and y, tuple
+    fields member by member; inf when y is of another class or an int field
+    or a tuple's length differs."""
+    if y.__class__ is not x.__class__:
+        return math.inf
+    worst = 0.0
+    for k in _field_names(x.__class__)[0]:
+        a, b = getattr(x, k), getattr(y, k)
+        a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
+        if len(a) != len(b):
+            return math.inf
+        for u, v in zip(a, b):
+            d = dist(u, v) if isinstance(u, np.ndarray) else 0.0 if u == v else math.inf
+            worst = max(worst, d)
+    return worst
 
 
 def _memoized(fn):
@@ -292,45 +305,52 @@ def _as_points(xs) -> np.ndarray:
     return pts.reshape(pts.shape[0], -1) if pts.size else pts.reshape(0, 1)
 
 
-def greedy_match(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Compare two multisets of points in C^d by greedy nearest-pair matching.
+def _near(pa: np.ndarray, pb: np.ndarray, tol: ToleranceConfig):
+    """The distances between the rows of pa and of pb, and which of them lie
+    within eq_rel_tol times the point-set scale: the largest coordinate
+    magnitude, floored at 1.  A non-finite distance or scale is never near."""
+    scale = max(float(np.abs(pa).max()), float(np.abs(pb).max()), 1.0)
+    dist = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    return dist, (dist <= tol.eq_rel_tol * scale) & (scale < math.inf)
 
-    True when both have the same size and each greedily matched pair lies
-    within eq_rel_tol times the working scale (largest coordinate magnitude,
-    floored at 1).
-    """
+
+def greedy_match(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether two multisets of points in C^d have one size and one d, and each
+    pair that greedy nearest-pair matching makes is near (see _near)."""
     pa, pb = _as_points(a), _as_points(b)
-    if pa.shape[0] != pb.shape[0]:
+    if pa.shape != pb.shape:
         return False
     k = pa.shape[0]
     if k == 0:
         return True
-    scale = max(float(np.abs(pa).max()), float(np.abs(pb).max()), 1.0)
-    dist = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    dist, near = _near(pa, pb, tol)
     used_a = np.zeros(k, dtype=bool)
     used_b = np.zeros(k, dtype=bool)
     for _ in range(k):
         masked = np.where(used_a[:, None] | used_b[None, :], np.inf, dist)
         i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        if masked[i, j] > tol.eq_rel_tol * scale:
+        if not near[i, j]:
             return False
         used_a[i] = used_b[j] = True
     return True
 
 
 def rel_err(x, y) -> float:
-    """Frobenius distance between x and y over the larger norm (floor 1)."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
+    """Frobenius distance between arrays x and y over the larger norm (floor
+    1), or between two values the largest over their fields (_fields_dist);
+    inf for another shape or where the distance or the scale is not finite."""
+    if isinstance(x, _ArrayValue):
+        return _fields_dist(x, y, rel_err)
+    x, y = np.asarray(x, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
+    if x.shape != y.shape:
+        return math.inf
+    dist = np.linalg.norm(x - y)
     scale = max(np.linalg.norm(x), np.linalg.norm(y), 1.0)
-    return float(np.linalg.norm(x - y) / scale)
+    return float(dist / scale) if dist + scale < math.inf else math.inf
 
 
 def mats_close(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if x.shape != y.shape:
-        return False
+    """Whether two arrays, or two values, lie within eq_rel_tol by rel_err."""
     return rel_err(x, y) <= tol.eq_rel_tol
 
 

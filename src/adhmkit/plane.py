@@ -29,7 +29,7 @@ from .linalg import (
     as_matrix,
     _ArrayValue,
     _inverse_at_tol,
-    _memoized,
+    _near,
     _operator_scale,
     freeze,
     kernel_basis,
@@ -102,9 +102,8 @@ def _stable_subspace_dim(b1, b2, e, tol: ToleranceConfig) -> int:
     return v.shape[1]
 
 
-@_memoized
 def validate_plane(d: PlaneADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
-    """Check commutation and co-stability, once per triple and tolerance.
+    """Check commutation and co-stability.
 
     Co-stability is refused (verdict ``indeterminate``) unless commutation
     passes, since the subspace iteration is only meaningful for commuting
@@ -142,13 +141,10 @@ def from_points(points, tol: ToleranceConfig = DEFAULT_TOL) -> PlaneADHM:
     if not pts:
         raise ShapeError("from_points: need at least one point")
     arr = as_matrix(pts, "points", (len(pts), 2))
-    scale = max(float(np.abs(arr).max()), 1.0)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.linalg.norm(arr[i] - arr[j]) <= tol.eq_rel_tol * scale:
-                raise InvalidPointError(
-                    f"from_points: points {i} and {j} coincide at tolerance"
-                )
+    coincide = np.argwhere(np.triu(_near(arr, arr, tol)[1], 1))  # pairs i < j, row-major
+    if coincide.size:
+        i, j = coincide[0]
+        raise InvalidPointError(f"from_points: points {i} and {j} coincide at tolerance")
     return plane_adhm(np.diag(arr[:, 0]), np.diag(arr[:, 1]), np.ones(len(pts)))
 
 
@@ -263,10 +259,4 @@ def orbit_equal_plane(d1: PlaneADHM, d2: PlaneADHM, tol: ToleranceConfig = DEFAU
     """Whether two valid triples lie on the same gauge orbit."""
     if d1.c != d2.c:
         return False
-    c1, _ = canonical_form(d1, tol)
-    c2, _ = canonical_form(d2, tol)
-    return (
-        mats_close(c1.b1, c2.b1, tol)
-        and mats_close(c1.b2, c2.b2, tol)
-        and mats_close(c1.e, c2.e, tol)
-    )
+    return mats_close(canonical_form(d1, tol)[0], canonical_form(d2, tol)[0], tol)

@@ -241,13 +241,13 @@ def _transition_checks(ctx, d, n, c_base, m, l, k):
     """Returns list of (label, relative error) for the cocycle identities."""
     out = []
     same = plane_mod.transition_plane(d, m, m, n, c_base, ctx.tol)
-    out.append(("identity", max(rel_err(same.b1, d.b1), rel_err(same.b2, d.b2))))
+    out.append(("identity", rel_err(same, d)))
     fwd = plane_mod.transition_plane(d, m, l, n, c_base, ctx.tol)
     back = plane_mod.transition_plane(fwd, l, m, n, c_base, ctx.tol)
-    out.append(("inverse", max(rel_err(back.b1, d.b1), rel_err(back.b2, d.b2))))
+    out.append(("inverse", rel_err(back, d)))
     two = plane_mod.transition_plane(fwd, l, k, n, c_base, ctx.tol)
     one = plane_mod.transition_plane(d, m, k, n, c_base, ctx.tol)
-    out.append(("triple", max(rel_err(two.b1, one.b1), rel_err(two.b2, one.b2))))
+    out.append(("triple", rel_err(two, one)))
     return out
 
 
@@ -303,15 +303,14 @@ def _prop_plane_canonical(ctx, i, n, c, seed):
     d = ctx.plane(c, seed)
     can, gauge = plane_mod.canonical_form(d, ctx.tol)
     witness = plane_mod.act_gl(d, gauge, ctx.tol)
-    if max(rel_err(witness.b1, can.b1), rel_err(witness.b2, can.b2),
-           rel_err(witness.e, can.e)) > ctx.tol.eq_rel_tol:
+    if rel_err(witness, can) > ctx.tol.eq_rel_tol:
         yield "gauge witness does not reproduce canonical form", d
     e0 = np.zeros(c, dtype=complex)
     e0[0] = 1.0
     if rel_err(can.e, e0) > ctx.tol.eq_rel_tol:
         yield "canonical e is not (1, 0, ..., 0)", d
     again, _ = plane_mod.canonical_form(can, ctx.tol)
-    if max(rel_err(again.b1, can.b1), rel_err(again.b2, can.b2)) > ctx.tol.eq_rel_tol:
+    if rel_err(again, can) > ctx.tol.eq_rel_tol:
         yield "canonical form is not idempotent", d
 
 
@@ -334,8 +333,7 @@ def _prop_hirz_roundtrip(ctx, i, n, c, seed):
     for m in hirz_mod.chart_set(d, ctx.tol):
         cc = hirz_mod.to_chart(d, m, ctx.tol)
         back = hirz_mod.from_chart(m, hirz_mod.plane_part(cc), cc.A2m, n, ctx.tol)
-        err = max(rel_err(back.A1, d.A1), rel_err(back.A2, d.A2), rel_err(back.e, d.e),
-                  max(rel_err(x, y) for x, y in zip(back.C, d.C)))
+        err = rel_err(back, d)
         if err > 1e-9:
             yield f"chart {m} round trip off by {err:.2e}", d
 
@@ -457,8 +455,7 @@ def _prop_hirz_triangle(ctx, i, n, c, seed):
             yield f"overlap {m0}->{l} unavailable although {l} is a chart", d
             continue
         direct = hirz_mod.to_chart(d, l, ctx.tol)
-        err = max(rel_err(via.B, direct.B), rel_err(via.E, direct.E),
-                  rel_err(via.e, direct.e), rel_err(via.A2m, direct.A2m))
+        err = rel_err(via, direct)
         if err > 1e-8:
             yield f"triangle {m0}->{l} off by {err:.2e}", d
 
@@ -474,8 +471,7 @@ def _prop_hirz_orbit(ctx, i, n, c, seed):
         yield "orbit_equal missed a gauge pair", d
     can, m = hirz_mod.canonicalize(d, ctx.tol)
     again, m2 = hirz_mod.canonicalize(can, ctx.tol)
-    err = max(rel_err(can.A1, again.A1), rel_err(can.A2, again.A2),
-              max(rel_err(x, y) for x, y in zip(can.C, again.C)), rel_err(can.e, again.e))
+    err = rel_err(can, again)
     if m != m2 or err > ctx.tol.eq_rel_tol:
         yield f"canonicalize is not idempotent ({err:.2e})", d
     other = ctx.hirz(n, c, seed + 77)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import pickle
 import re
 
@@ -31,8 +32,15 @@ from adhmkit.hirz import (
     validate_p3,
     validate_p3_direct,
 )
-from adhmkit.linalg import DEFAULT_TOL, ToleranceConfig, random_well_conditioned, rank_tol, rel_err
-from adhmkit.plane import PlaneADHM, act_gl, from_points, plane_adhm, transition_plane
+from adhmkit.linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    mats_close,
+    random_well_conditioned,
+    rank_tol,
+    rel_err,
+)
+from adhmkit.plane import act_gl, from_points, plane_adhm, transition_plane
 from adhmkit.propsuite import GenConfig, gen_hirz_valid
 from adhmkit.sigma import angle_pair
 
@@ -489,8 +497,7 @@ KINDS = ["hirz", "act_gl2", "from_chart", "chart", "transition_omega", "plane", 
 
 # the memoized validation of each kind of value that has one, and the step
 # its body runs once per computation
-MEMOIZED = {hirz_mod.HirzADHM: (validate_hirz, hirz_mod, "merge"),
-            PlaneADHM: (plane_mod.validate_plane, plane_mod, "_commutator_rel")}
+MEMOIZED = {hirz_mod.HirzADHM: (validate_hirz, hirz_mod, "merge")}
 
 
 def _writable_fields(x):
@@ -527,6 +534,48 @@ def test_value_equality_is_exact_and_values_are_unhashable(kind):
     assert x != "not a value"
     with pytest.raises(TypeError):
         hash(x)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_a_value_is_close_when_every_array_is(kind, factor):
+    """Moving one array (or one member of C) by factor * eq_rel_tol * max(|a|, 1)
+    at one entry: the value's verdict is the AND of the per-array verdicts and
+    its rel_err the max of theirs, bit for bit."""
+    x, _ = _values()[kind]
+    moved = 0
+    for name, v in _writable_fields(x).items():
+        if isinstance(v, int):
+            continue
+        for k in range(len(v)) if isinstance(v, tuple) else [None]:
+            kwargs = _writable_fields(x)
+            moving = kwargs[name] if k is None else kwargs[name][k]
+            moving.flat[0] += factor * DEFAULT_TOL.eq_rel_tol * max(np.linalg.norm(moving), 1.0)
+            y = type(x)(**kwargs)
+            pairs = list(zip(_arrays(vars(x).values()), _arrays(vars(y).values())))
+            assert mats_close(x, y) is mats_close(y, x) is all(mats_close(a, b) for a, b in pairs)
+            assert mats_close(x, y) is (factor < 1)
+            assert rel_err(x, y).hex() == max(rel_err(a, b) for a, b in pairs).hex()
+            moved += 1
+    assert moved == len(list(_arrays(vars(x).values())))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_values_of_another_size_or_kind_are_never_close(kind):
+    x, _ = _values()[kind]
+    others = []
+    for name, v in _writable_fields(x).items():
+        if isinstance(v, int):  # n, c or m
+            others.append({**_writable_fields(x), name: v + 1})
+        elif isinstance(v, tuple):  # C with a member fewer or more
+            others += [{**_writable_fields(x), name: v[:-1]}, {**_writable_fields(x), name: v + v[:1]}]
+    assert others
+    kinds = {type(y): y for y, _ in _values().values() if type(y) is not type(x)}
+    for y in [type(x)(**kwargs) for kwargs in others] + list(kinds.values()):
+        assert y != x
+        assert rel_err(x, y) == rel_err(y, x) == math.inf
+        assert not mats_close(x, y) and not mats_close(y, x)
+    assert rel_err(x, x) == 0.0 and mats_close(x, x)
 
 
 @pytest.mark.parametrize("kind", KINDS)

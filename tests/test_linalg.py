@@ -158,6 +158,12 @@ def test_greedy_match_empty():
     assert greedy_match(np.zeros((0, 2)), np.zeros((0, 2)), DEFAULT_TOL)
 
 
+def test_greedy_match_points_of_another_dimension_never_match():
+    for a, b in (([1.0], [(1.0, 1.0)]), ([2.0, 3.0], [(2.0, 0.0), (3.0, 0.0)])):
+        assert not greedy_match(a, b, DEFAULT_TOL)
+        assert not greedy_match(b, a, DEFAULT_TOL)
+
+
 def test_proj_point_normalization():
     p = proj_point(2.0, 1.0)
     assert p.lam1 == 1.0 and abs(p.lam2 - 0.5) < 1e-15
@@ -245,6 +251,33 @@ def test_mats_close_and_rel_err():
     assert not mats_close(a, a + 1.0, DEFAULT_TOL)
     assert rel_err(a, a) == 0.0
     assert rel_err(np.zeros(2), np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.nan)])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_points_are_never_close(bad):
+    pairs = [([bad], [1.0]), ([bad, 2.0], [2.0, 1.0]), ([bad], [bad]),
+             ([(1.0, bad)], [(1.0, 2.0)]), ([(0.0, 0.0), (1.0, bad)], [(1.0, 2.0), (0.0, 0.0)])]
+    for a, b in pairs:
+        assert not greedy_match(a, b, DEFAULT_TOL)
+        assert not greedy_match(b, a, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_values_with_a_non_finite_field_are_never_close(bad):
+    p = gen_plane_valid(GenConfig(seed=3, c=2))
+    d = gen_hirz_valid(GenConfig(seed=3, n=2, c=2))
+    spoilt = []
+    for x, name in ((p, "b1"), (p, "e"), (d, "A1"), (d, "C"), (d, "e")):
+        a = np.array(getattr(x, name)[0] if name == "C" else getattr(x, name))
+        a.flat[-1] = bad
+        spoilt.append((x, dataclasses.replace(x, **{name: (a, *x.C[1:]) if name == "C" else a})))
+        spoilt.append((getattr(x, name)[0] if name == "C" else getattr(x, name), a))
+    for x, y in spoilt:
+        for u, v in ((x, y), (y, x), (y, y)):
+            assert not mats_close(u, v, DEFAULT_TOL)
+            assert not rel_err(u, v) <= DEFAULT_TOL.eq_rel_tol
 
 
 def test_as_covector_accepts_a_one_row_matrix():

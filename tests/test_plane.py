@@ -99,6 +99,28 @@ def test_from_points_rejects_duplicates():
         from_points(((1.0, 2.0), (1.0, 2.0)))
 
 
+@pytest.mark.parametrize("point", [(0.25, -0.5j), (3.0 + 1.0j, -2.0), (0.0, 40.0 - 7.0j)])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_from_points_refuses_exactly_the_pairs_greedy_match_calls_close(point, factor):
+    p = np.array(point, dtype=complex)
+    scale = max(np.abs(p).max(), 1.0)  # the moved point does not raise it
+    q = p - [factor * DEFAULT_TOL.eq_rel_tol * scale, 0.0]
+    close = greedy_match([p], [q], DEFAULT_TOL)
+    assert close is (factor < 1)
+    if close:
+        with pytest.raises(InvalidPointError, match="^from_points: points 0 and 1 coincide"):
+            from_points((p, q))
+    else:
+        assert from_points((p, q)).c == 2
+
+
+def test_from_points_names_the_first_coincident_pair_in_row_major_order():
+    x, y, z = (1.0, 2.0), (3.0, -1.0j), (0.5, 0.5)
+    for pts, first in (((z, y, x, y, x), (1, 3)), ((x, y, y, x), (0, 3)), ((z, x, y, y, y), (2, 3))):
+        with pytest.raises(InvalidPointError, match=f"^from_points: points {first[0]} and {first[1]} "):
+            from_points(pts)
+
+
 def test_joint_spectrum_nondiagonalizable_frozen():
     # a length-2 punctual pair supported at (1, 5)
     d = plane_adhm(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import hirz as hirz_mod
 from . import plane as plane_mod
-from .errors import InvalidPointError, ShapeError
+from .errors import IndeterminateError, InvalidPointError, ShapeError
 from .hirz import _MAX_TWIST, HirzADHM, hirz_adhm, to_chart
 from .linalg import (
     DEFAULT_TOL,
@@ -111,7 +111,8 @@ def pencil_form(A1, A2) -> BinaryForm:
     The determinant is evaluated at the c+1 points [1 : w^k] for w a
     primitive (c+1)-th root of unity and the coefficients recovered by the
     inverse discrete Fourier transform, an exactly determined and perfectly
-    conditioned interpolation.  The zero form is allowed here.
+    conditioned interpolation.  The zero form is allowed here.  Finite
+    matrices whose determinant overflows give an IndeterminateError.
     """
     A1 = as_matrix(A1, "A1", "square")
     A2 = as_matrix(A2, "A2", A1.shape)
@@ -119,7 +120,10 @@ def pencil_form(A1, A2) -> BinaryForm:
     w = np.exp(2j * np.pi * np.arange(c + 1) / (c + 1))
     values = np.linalg.det(A1 + w[:, None, None] * A2)
     # values[k] = sum_p coeff[p] w^{kp}, so the forward transform inverts it
-    return binary_form(np.fft.fft(values) / (c + 1))
+    coeffs = np.fft.fft(values) / (c + 1)
+    if not np.isfinite(coeffs).all():
+        raise IndeterminateError("pencil_form: the pencil determinant is not finite (overflow)")
+    return binary_form(coeffs)
 
 
 def _chart_base_roots(cc, tol: ToleranceConfig) -> tuple:

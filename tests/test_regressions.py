@@ -13,8 +13,10 @@ import re
 import numpy as np
 import pytest
 
-from adhmkit.errors import DomainError, InvalidPointError, ShapeError
+from adhmkit import cli
+from adhmkit.errors import DomainError, IndeterminateError, InvalidPointError, ShapeError
 from adhmkit.geometry import (
+    pencil_form,
     spectrum_vs_pencil_check,
     tot_point,
     um_membership,
@@ -39,6 +41,7 @@ from adhmkit.hirz import (
 from adhmkit.linalg import as_covector, as_matrix
 from adhmkit.plane import from_points, plane_adhm, transition_plane, validate_plane
 from adhmkit.propsuite import GenConfig, gen_hirz_valid, gen_plane_valid, run_suite
+from adhmkit.serialize import dumps
 from adhmkit.sigma import angle_pair, sigma_matrix
 
 
@@ -78,13 +81,71 @@ def test_support_roots_match_spectrum(n, c, seed):
                           "destabilizing vector")
 @pytest.mark.parametrize("seed,n,c", [(5, 8, 32), (1, 3, 12)])
 def test_broken_costability_rejected(seed, n, c):
-    d = gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))
-    m = chart_set(d)[0]
-    v = np.linalg.eig(to_chart(d, m).B)[1][:, 0]
-    e = d.e - (d.e @ v) * v.conj() / np.vdot(v, v)
-    bad = hirz_adhm(d.n, d.c, d.A1, d.A2, d.C, e)
+    bad = broken_twin(gen_hirz_valid(GenConfig(seed=seed, n=n, c=c)))
     assert validate_p3_direct(bad).check("costability_direct").verdict == "fail"
     assert not validate_hirz(bad).passed
+
+
+def broken_twin(d):
+    """d with e projected off the first eigenvector of B at its first chart."""
+    v = np.linalg.eig(to_chart(d, chart_set(d)[0]).B)[1][:, 0]
+    e = d.e - (d.e @ v) * v.conj() / np.vdot(v, v)
+    return hirz_adhm(d.n, d.c, d.A1, d.A2, d.C, e)
+
+
+@pytest.mark.parametrize("n,seed", [(1, 4), (2, 4), (3, 4), (5, 0), (5, 1), (5, 4),
+                                    (8, 0), (8, 1), (8, 4)])
+def test_direct_costability_rejects_broken_twin_at_c32(n, seed):
+    # the direct test also checked that the kernel vector is a joint
+    # eigenvector with weights lam1^n a = (-1)^n lam2^n b; P1 implies both,
+    # and the weight test, raising a drifting root to the n-th power, called
+    # these twins stable
+    bad = broken_twin(gen_hirz_valid(GenConfig(seed=seed, n=n, c=32)))
+    assert validate_p3_direct(bad).check("costability_direct").verdict == "fail"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_intertwining_implies_direct_costability_conditions(n):
+    # the premise of validate_p3_direct: A2 C1 A1 = A1 C1 A2 and
+    # A2 C_n A1 = A1 C_n A2 hold on valid points, so a one-dimensional
+    # pencil kernel is invariant under C1 A2 and C_n A1
+    for c in (1, 2, 3, 6, 12):
+        for seed in range(3):
+            d = gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))
+            for cq in (d.C[0], d.C[-1]):
+                scale = np.linalg.norm(d.A1) * np.linalg.norm(cq) * np.linalg.norm(d.A2)
+                resid = np.linalg.norm(d.A2 @ cq @ d.A1 - d.A1 @ cq @ d.A2)
+                assert resid <= 1e-9 * scale, (n, c, seed)
+
+
+def overflowing_pencil_point():
+    """A valid point whose pencil determinant overflows while P1 and P2 still pass."""
+    d = gen_hirz_valid(GenConfig(seed=1, n=3, c=6))
+    s = 2.0**256
+    return hirz_adhm(d.n, d.c, d.A1 * s, d.A2 * s, tuple(x / s for x in d.C), d.e)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
+def test_overflowing_pencil_determinant_is_indeterminate():
+    # binary_form's finiteness check for outside input reported this as a
+    # "shape" error
+    d = overflowing_pencil_point()
+    assert validate_hirz(d).passed
+    with pytest.raises(IndeterminateError, match="^pencil_form: "):
+        pencil_form(d.A2, d.A1)
+    with pytest.raises(IndeterminateError, match="^pencil_form: "):
+        validate_p3_direct(d)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["validate", "--p3-method", "direct"],
+                                  ["validate", "--p3-method", "both"], ["hilbert-chow"]])
+def test_overflowing_pencil_determinant_is_indeterminate_in_cli(argv, tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(dumps(overflowing_pencil_point()))
+    assert cli.main([*argv, str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "indeterminate" and out["detail"].startswith("pencil_form: ")
 
 
 def scaled(d, s):
@@ -110,6 +171,28 @@ def test_overflowing_residual_is_indeterminate(kind, n, s):
     assert first.verdict == "indeterminate" and first.residual is None
     assert "not finite" in first.detail
     json.dumps(report.to_json(), allow_nan=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the chart-route shrink loop finds a two-dimensional "
+                          "invariant subspace in ker(e) once A and C are scaled by 2^256")
+def test_hirz_verdict_survives_exact_upscaling():
+    # validate --p3-method direct passes the same scaled point
+    d = gen_hirz_valid(GenConfig(seed=0, n=2, c=3))
+    assert validate_hirz(d).passed
+    assert validate_hirz(scaled(d, 2.0**256)).verdict != "fail"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: valid triples scaled by 2^-30 fail co-stability "
+                          "(likely the 1.0 floor of linalg._operator_scale)")
+@pytest.mark.parametrize("seed", range(5))
+def test_plane_verdict_survives_exact_downscaling(seed):
+    d = gen_plane_valid(GenConfig(seed=seed, c=3))
+    assert validate_plane(d).passed
+    s = 2.0**-30
+    assert validate_plane(plane_adhm(d.b1 * s, d.b2 * s, d.e)).verdict != "fail"
 
 
 def _int_argument_calls():

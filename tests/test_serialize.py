@@ -161,6 +161,21 @@ def test_first_defect_in_key_order_is_reported():
     assert _parse_error(data) == ("missing key 'A1'", "$")
 
 
+def test_non_object_document_is_a_parse_error():
+    for text in ("[1]", "3"):
+        with pytest.raises(ParseError) as exc:
+            loads(text)
+        assert (exc.value.detail, exc.value.path) == ("expected a JSON object", "$")
+
+
+def test_matrix_with_too_few_rows_reports_its_path():
+    data = json.loads(dumps(plane_adhm([[1.0, 0], [0, 2.0]], [[0, 1], [1, 0]], [1.0, 0.0])))
+    data["b1"] = data["b1"][:1]
+    with pytest.raises(ParseError) as exc:
+        loads(json.dumps(data))
+    assert (exc.value.detail, exc.value.path) == ("expected a matrix with 2 rows", "$/b1")
+
+
 def test_deeply_nested_json_is_a_parse_error():
     for text in ("[" * 100_000, '{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}"):
         with pytest.raises(ParseError) as exc:

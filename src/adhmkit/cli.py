@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import geometry, hirz, plane, serialize
-from .errors import ADHMKitError, ParseError
+from .errors import ADHMKitError
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .report import FAIL, INDETERMINATE, PASS, merge
 from .sigma import sigma_matrix
@@ -179,7 +179,7 @@ def _cmd_support(args, tol, d):
 
 def _cmd_hilbert_chow(args, tol, d):
     sup = geometry.base_support(d, tol)
-    form = geometry.pencil_form(d.A2, d.A1)
+    form = geometry._regular_pencil_form(d)
     coeffs = np.asarray(form.coeffs)
     lead = coeffs[np.argmax(np.abs(coeffs))]
     return {"degree": form.degree,
@@ -310,14 +310,13 @@ def main(argv=None) -> int:
         for obj, kind in zip(inputs, args.inputs):
             if kind is not None:
                 _expect(obj, *kind)
-        payload, code = args.fn(args, tol, *inputs)
+        with np.errstate(all="ignore"):  # the library turns each non-finite value into a verdict
+            payload, code = args.fn(args, tol, *inputs)
         _emit(payload, args.out)
         return code
-    except ParseError as exc:
-        _emit({"error": exc.kind, "path": exc.path, "detail": exc.detail}, None)
-        return 2
-    except ADHMKitError as exc:
-        _emit({"error": exc.kind, "path": getattr(exc, "path", None), "detail": str(exc)}, None)
+    except ADHMKitError as exc:  # a ParseError's detail leaves out the path it prefixes
+        _emit({"error": exc.kind, "path": getattr(exc, "path", None),
+               "detail": getattr(exc, "detail", str(exc))}, None)
         return 2
     except Exception as exc:  # never leak a traceback through the CLI
         _emit({"error": "internal", "path": None, "detail": f"{type(exc).__name__}: {exc}"}, None)

@@ -126,6 +126,21 @@ def pencil_form(A1, A2) -> BinaryForm:
     return binary_form(coeffs)
 
 
+def _regular_pencil_form(d: HirzADHM) -> BinaryForm:
+    """pencil_form of det(lam1 A2 + lam2 A1) for a point whose chart set P2 has certified.
+
+    Such a pencil is regular, so a form whose every coefficient is zero or
+    subnormal has underflowed, and its roots cannot be certified:
+    IndeterminateError, as for an overflowing one.
+    """
+    form = pencil_form(d.A2, d.A1)
+    peak = float(np.abs(form.coeffs).max())
+    if peak < np.finfo(float).tiny:
+        raise IndeterminateError(
+            f"pencil_form: the pencil determinant underflows (largest coefficient {peak:.3g})")
+    return form
+
+
 def _chart_base_roots(cc, tol: ToleranceConfig) -> tuple:
     """Base roots read off chart coordinates: the eigenvalues of B, carried
     back through the chart angle (the inverse of _root_to_fibre_coordinate)

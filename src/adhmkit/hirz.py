@@ -260,9 +260,9 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
     directly): the weight relation lam1^n a = (-1)^n lam2^n b (at lam2 = 0, a = 0).
     """
     _p3_ready(d, tol, "validate_p3_direct")
-    from .geometry import pencil_form  # deferred: geometry imports this module
+    from .geometry import _regular_pencil_form  # deferred: geometry imports this module
 
-    roots = binary_form_roots(pencil_form(d.A2, d.A1), tol)  # det(lam1 A2 + lam2 A1)
+    roots = binary_form_roots(_regular_pencil_form(d), tol)  # det(lam1 A2 + lam2 A1)
     checks = []
     norm_e = float(np.linalg.norm(d.e))
     op_scale = _operator_scale(d.A1, d.A2)

@@ -53,6 +53,11 @@ class GenConfig:
     n: int = 1
     c: int = 1
 
+    def __post_init__(self):
+        as_int(self.seed, "GenConfig", "seed", 0)
+        as_int(self.n, "GenConfig", "n", 1, _MAX_TWIST)
+        as_int(self.c, "GenConfig", "c", 1)
+
 
 def _complex_normal(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -655,6 +660,7 @@ def run_suite(seed=2026, max_n=3, max_c=6, samples=100, name_filter=None,
     run in forked workers, one per allowed CPU; the report is the same as
     from running them one after another in this process.
     """
+    as_int(seed, "run_suite", "seed", 0)
     as_int(max_n, "run_suite", "max_n", 1, _MAX_TWIST)
     as_int(max_c, "run_suite", "max_c", 1)
     as_int(samples, "run_suite", "samples", 0)

@@ -103,18 +103,6 @@ def _parse_complex(v, path):
     return z
 
 
-def _parse_row(v, length, path):
-    if not isinstance(v, list) or len(v) != length:
-        raise ParseError(f"expected a row of {length} complex scalars", path)
-    return np.array([_parse_complex(t, f"{path}[{i}]") for i, t in enumerate(v)])
-
-
-def _parse_matrix(v, rows, cols, path):
-    if not isinstance(v, list) or len(v) != rows:
-        raise ParseError(f"expected a matrix with {rows} rows", path)
-    return np.array([_parse_row(r, cols, f"{path}[{i}]") for i, r in enumerate(v)])
-
-
 def _regular(v):
     """(shape, leaves, leaf types) when ``v`` is a regular block of nested lists, else None.
 
@@ -155,15 +143,18 @@ def _fast_block(v, shape):
     return f.view(complex).reshape(shape)
 
 
+# what a block of each rank must be, from its length and its field's name
+_BLOCK_WANTED = {1: "a row of {} complex scalars", 2: "a matrix with {} rows", 3: "{} {}-matrices"}
+
+
 def _walk_block(v, shape, path):
-    """The per-scalar walk over a row ``(c,)``, a matrix ``(r, c)`` or a stack ``(n, r, c)``."""
-    if len(shape) == 1:
-        return _parse_row(v, *shape, path)
-    if len(shape) == 2:
-        return _parse_matrix(v, *shape, path)
+    """The per-scalar walk: a complex scalar at ``()``, else a list of ``shape[0]`` blocks."""
+    if not shape:
+        return _parse_complex(v, path)
     if not isinstance(v, list) or len(v) != shape[0]:
-        raise ParseError(f"expected {shape[0]} {path.rsplit('/', 1)[-1]}-matrices", path)
-    return np.array([_parse_matrix(m, *shape[1:], f"{path}[{q}]") for q, m in enumerate(v)])
+        wanted = _BLOCK_WANTED[len(shape)].format(shape[0], path.rsplit("/", 1)[-1])
+        raise ParseError(f"expected {wanted}", path)
+    return np.array([_walk_block(t, shape[1:], f"{path}[{i}]") for i, t in enumerate(v)])
 
 
 def _parse_block(v, shape, path):

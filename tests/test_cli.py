@@ -320,6 +320,13 @@ def test_property_run_vacuous_warns(capsys):
     assert all(p["cases"] == 0 for p in payload["properties"])
 
 
+def test_property_run_negative_seed_is_domain_error(capsys):
+    # run_suite passed the seed on to numpy, whose ValueError printed "internal"
+    code, payload = run(capsys, "property-run", "--seed", "-5", "--samples", "0")
+    assert code == 2 and payload["error"] == "domain"
+    assert payload["detail"] == "run_suite: seed must be an integer >= 0, got -5"
+
+
 def test_env_tolerance_rejected_when_malformed(capsys, monkeypatch):
     monkeypatch.setenv("ADHMKIT_TOL", "rank=notanumber")
     code, payload = run(capsys, "chart-set", g("hirz_valid_n2c2.json"))

@@ -133,6 +133,21 @@ def test_bad_ranges_rejected():
         run_suite(seed=5, max_n=0, max_c=2, samples=1)
     with pytest.raises(DomainError):
         run_suite(seed=5, max_n=2, max_c=2, samples=-1)
+    # a bool seed ran as 1, a float one raised TypeError and a negative one
+    # numpy's ValueError; GenConfig passed c = 0 and seed = -1 on to numpy
+    for seed in (-1, True, 1.5):
+        with pytest.raises(DomainError) as exc:
+            run_suite(seed=seed, max_n=1, max_c=1, samples=0)
+        assert str(exc.value) == f"run_suite: seed must be an integer >= 0, got {seed!r}"
+    for fields, message in [({"seed": -1}, "seed must be an integer >= 0, got -1"),
+                            ({"seed": True}, "seed must be an integer >= 0, got True"),
+                            ({"seed": 1, "n": 0}, "n must be an integer in 1..64, got 0"),
+                            ({"seed": 1, "n": 65}, "n must be an integer in 1..64, got 65"),
+                            ({"seed": 1, "c": 0}, "c must be an integer >= 1, got 0"),
+                            ({"seed": 1, "c": 2.0}, "c must be an integer >= 1, got 2.0")]:
+        with pytest.raises(DomainError) as exc:
+            GenConfig(**fields)
+        assert str(exc.value) == "GenConfig: " + message
 
 
 def test_failure_records_have_reproduction_data():

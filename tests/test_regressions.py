@@ -9,6 +9,7 @@ regression test for the fix.
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from adhmkit.hirz import (
     validate_hirz,
     validate_p3_direct,
 )
-from adhmkit.linalg import as_covector, as_matrix
+from adhmkit.linalg import as_covector, as_matrix, binary_form_roots
 from adhmkit.plane import from_points, plane_adhm, transition_plane, validate_plane
 from adhmkit.propsuite import GenConfig, gen_hirz_valid, gen_plane_valid, run_suite
 from adhmkit.serialize import dumps
@@ -148,8 +149,84 @@ def test_overflowing_pencil_determinant_is_indeterminate_in_cli(argv, tmp_path, 
     assert out["error"] == "indeterminate" and out["detail"].startswith("pencil_form: ")
 
 
+def scaled_pencil(d, s):
+    return hirz_adhm(d.n, d.c, d.A1 * s, d.A2 * s, d.C, d.e)
+
+
+def underflowing_pencil_point(seed, n, c, k):
+    """A valid point with A1, A2 scaled by 2^k so far that its pencil determinant
+    underflows: to 0.0 at every sample for k = -60, to subnormals otherwise."""
+    return scaled_pencil(gen_hirz_valid(GenConfig(seed=seed, n=n, c=c)), 2.0**k)
+
+
+UNDERFLOWS = [(0, 1, 32, -60), (1, 3, 24, -44), (2, 2, 32, -32)]
+
+
+@pytest.mark.parametrize("seed,n,c,k", UNDERFLOWS)
+def test_underflowing_pencil_determinant_is_indeterminate(seed, n, c, k):
+    # validate_p3_direct called the first point invalid ("form is identically
+    # zero") and raised numpy's LinAlgError on the subnormal forms of the
+    # others; a pencil that P2 has certified regular cannot have a zero form
+    d = underflowing_pencil_point(seed, n, c, k)
+    assert validate_hirz(d).passed
+    form = pencil_form(d.A2, d.A1)
+    assert np.abs(form.coeffs).max() < np.finfo(float).tiny
+    if k == -60:
+        assert not form.coeffs.any()
+        with pytest.raises(InvalidPointError, match="^binary_form_roots: form is identically zero$"):
+            binary_form_roots(form)
+    with pytest.raises(IndeterminateError, match=r"^pencil_form: the pencil determinant underflows "):
+        validate_p3_direct(d)
+
+
+@pytest.mark.parametrize("point", UNDERFLOWS)
+@pytest.mark.parametrize("argv,code,error", [
+    (["validate"], 0, None),
+    (["validate", "--p3-method", "direct"], 2, "indeterminate"),
+    (["validate", "--p3-method", "both"], 2, "indeterminate"),
+    # normalizing the form printed "internal" (nan or inf is not JSON compliant)
+    # or a form of subnormal noise
+    (["hilbert-chow"], 2, "indeterminate"),
+])
+def test_underflowing_pencil_determinant_is_indeterminate_in_cli(argv, code, error, point,
+                                                                 tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(dumps(underflowing_pencil_point(*point)))
+    assert cli.main([*argv, str(path)]) == code
+    assert json.loads(capsys.readouterr().out).get("error") == error
+
+
 def scaled(d, s):
     return hirz_adhm(d.n, d.c, d.A1 * s, d.A2 * s, tuple(x * s for x in d.C), d.e)
+
+
+def _overflowing_residual_point():
+    return scaled(gen_hirz_valid(GenConfig(seed=3, n=1, c=3)), 1e100)
+
+
+@pytest.mark.parametrize("point,argv", [
+    (overflowing_pencil_point, ["validate"]),
+    (overflowing_pencil_point, ["support"]),
+    (overflowing_pencil_point, ["chart-set"]),
+    (overflowing_pencil_point, ["validate", "--p3-method", "both"]),
+    (overflowing_pencil_point, ["hilbert-chow"]),
+    (_overflowing_residual_point, ["validate"]),
+    (_overflowing_residual_point, ["support"]),
+    (_overflowing_residual_point, ["hilbert-chow"]),
+], ids=lambda v: getattr(v, "__name__", None) or "-".join(v))
+def test_cli_keeps_numpy_warnings_off_stderr(point, argv, tmp_path, capsys):
+    # numpy's "overflow encountered in det/dot" and "invalid value encountered
+    # in fft" reached stderr, though each such value already is an
+    # indeterminate check or error; Python callers still see the warnings
+    path = tmp_path / "point.json"
+    path.write_text(dumps(point()))
+    with pytest.warns(RuntimeWarning):
+        validate_hirz(point())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli.main([*argv, str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
@@ -193,6 +270,18 @@ def test_plane_verdict_survives_exact_downscaling(seed):
     assert validate_plane(d).passed
     s = 2.0**-30
     assert validate_plane(plane_adhm(d.b1 * s, d.b2 * s, d.e)).verdict != "fail"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 1 and 5: the chart-route shrink loop fails these broken "
+                          "twins unscaled and passes them once A1 and A2 are scaled down")
+@pytest.mark.parametrize("seed,n,c,k", [(4, 3, 32, -10), (1, 1, 12, -30)])
+def test_broken_twin_verdict_survives_exact_downscaling(seed, n, c, k):
+    # (b1, b2, e) -> (s b1, t b2, u e) maps the valid set onto itself, so an
+    # exact power-of-two scaling of A1 and A2 cannot make a broken point valid
+    bad = broken_twin(gen_hirz_valid(GenConfig(seed=seed, n=n, c=c)))
+    assert validate_hirz(bad).verdict == "fail"
+    assert validate_hirz(scaled_pencil(bad, 2.0**k)).verdict == "fail"
 
 
 def _int_argument_calls():

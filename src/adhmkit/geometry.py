@@ -24,6 +24,7 @@ from .linalg import (
     ToleranceConfig,
     _cluster_roots,
     _memoized,
+    _residual,
     as_covector,
     as_int,
     as_matrix,
@@ -82,13 +83,15 @@ def _c1_point(who, n, y1, y2, a1, a2, k, relation):
     as_int(n, who, "n", 1, _MAX_TWIST)
     if y1 == 0 and y2 == 0:
         raise InvalidPointError(f"{who}: (y1, y2) must not both vanish")
-    lhs = a1 * y1**k
-    rhs = a2 * y2**k
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    if abs(lhs - rhs) > _C1_REL_TOL * scale:
-        raise InvalidPointError(
-            f"{who}: relation {relation} violated (relative error {abs(lhs - rhs) / scale:.3e})"
-        )
+    try:
+        lhs, rhs = a1 * y1**k, a2 * y2**k
+        err = _residual(lhs - rhs, max(abs(lhs), abs(rhs), 1e-30))
+    except OverflowError:  # complex ** raises where complex * gives inf
+        err = np.nan
+    if np.isnan(err):
+        raise IndeterminateError(f"{who}: cannot certify relation {relation}")
+    if err > _C1_REL_TOL:
+        raise InvalidPointError(f"{who}: relation {relation} violated (relative error {err:.3e})")
 
 
 def tot_point(y1, y2, u1, u2, n: int) -> TotPoint:

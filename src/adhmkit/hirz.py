@@ -51,6 +51,7 @@ from .linalg import (
     _memoized,
     _operator_scale,
     _rank_cut,
+    _residual,
     binary_form_roots,
     kernel_basis,
     mats_close,
@@ -149,26 +150,18 @@ def validate_p1(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
 
     Residuals are scaled by the norms of the factors entering each product.
     """
-    checks = []
-    if d.n == 1:
-        lhs = d.A1 @ d.C[0] @ d.A2
-        rhs = d.A2 @ d.C[0] @ d.A1
-        scale = 2 * np.linalg.norm(d.A1) * np.linalg.norm(d.C[0]) * np.linalg.norm(d.A2)
-        resid = float(np.linalg.norm(lhs - rhs) / scale) if scale > 0 else 0.0
-        checks.append(_residual_check("intertwine", resid, tol.eq_rel_tol, "A1 C1 A2 = A2 C1 A1"))
-    else:
-        for q in range(d.n - 1):
-            left = d.A1 @ d.C[q] - d.A2 @ d.C[q + 1]
-            sl = (np.linalg.norm(d.A1) * np.linalg.norm(d.C[q])
-                  + np.linalg.norm(d.A2) * np.linalg.norm(d.C[q + 1]))
-            rl = float(np.linalg.norm(left) / sl) if sl > 0 else 0.0
-            checks.append(_residual_check(f"intertwine_left_{q + 1}", rl, tol.eq_rel_tol,
-                                          f"A1 C{q + 1} = A2 C{q + 2}"))
-            right = d.C[q] @ d.A1 - d.C[q + 1] @ d.A2
-            rr = float(np.linalg.norm(right) / sl) if sl > 0 else 0.0
-            checks.append(_residual_check(f"intertwine_right_{q + 1}", rr, tol.eq_rel_tol,
-                                          f"C{q + 1} A1 = C{q + 2} A2"))
-    return ValidationReport(checks=tuple(checks))
+    na1, na2 = np.linalg.norm(d.A1), np.linalg.norm(d.A2)
+    nc = [np.linalg.norm(cq) for cq in d.C]
+    relations = [("intertwine", d.A1 @ d.C[0] @ d.A2 - d.A2 @ d.C[0] @ d.A1,
+                  2 * na1 * nc[0] * na2, "A1 C1 A2 = A2 C1 A1")] if d.n == 1 else []
+    for q in range(d.n - 1):
+        scale = na1 * nc[q] + na2 * nc[q + 1]
+        relations += [(f"intertwine_left_{q + 1}", d.A1 @ d.C[q] - d.A2 @ d.C[q + 1], scale,
+                       f"A1 C{q + 1} = A2 C{q + 2}"),
+                      (f"intertwine_right_{q + 1}", d.C[q] @ d.A1 - d.C[q + 1] @ d.A2, scale,
+                       f"C{q + 1} A1 = C{q + 2} A2")]
+    return ValidationReport(checks=tuple(_residual_check(name, diff, scale, tol.eq_rel_tol, rel)
+                                         for name, diff, scale, rel in relations))
 
 
 @_memoized
@@ -247,8 +240,8 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
     """Root-by-root co-stability check, independent of the chart route.
 
     At each root [lam1 : lam2] of det(lam2 A1 + lam1 A2) whose kernel K is
-    spanned by one v, the point fails iff |e v| <= eq_rel_tol ||e||; a
-    kernel of any other dimension is indeterminate (use the chart method).
+    spanned by one v, the point fails iff |e v| / ||e|| <= eq_rel_tol; a nan
+    ratio (linalg._residual) or a kernel of other dimension is indeterminate.
     The P1 and chart-set guard reads validate_hirz's memoized report; the
     verdict reads only A1, A2 and e, never the chart-route check.
 
@@ -270,17 +263,14 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
         kern = kernel_basis(pt.lam2 * d.A1 + pt.lam1 * d.A2, tol, scale=op_scale)
         where = f"[{pt.lam1:.4g} : {pt.lam2:.4g}] (multiplicity {mult})"
         if kern.shape[1] != 1:
-            checks.append(Check(
-                name=f"root_{idx}",
-                verdict=INDETERMINATE,
-                detail=f"kernel dimension {kern.shape[1]} at {where}; use chart method",
-            ))
-            continue
-        ev = abs(complex(d.e @ kern[:, 0]))
-        fails = ev <= tol.eq_rel_tol * norm_e
-        checks.append(Check(name=f"root_{idx}", verdict=FAIL if fails else PASS,
-                            residual=ev / norm_e if norm_e > 0 else 0.0,
-                            detail=f"{'destabilizing vector' if fails else 'e v != 0'} at {where}"))
+            verdict, ratio = INDETERMINATE, None
+            detail = f"kernel dimension {kern.shape[1]} at {where}; use chart method"
+        elif math.isnan(ratio := _residual(d.e @ kern[:, 0], norm_e)):
+            verdict, ratio, detail = INDETERMINATE, None, f"|e v| / |e| is not finite at {where}"
+        else:
+            verdict = FAIL if ratio <= tol.eq_rel_tol else PASS
+            detail = f"{'destabilizing vector' if verdict == FAIL else 'e v != 0'} at {where}"
+        checks.append(Check(name=f"root_{idx}", verdict=verdict, residual=ratio, detail=detail))
     roots_report = ValidationReport(checks=tuple(checks))
     summary = Check(name="costability_direct", verdict=roots_report.verdict,
                     detail=f"{len(roots)} distinct pencil roots examined")

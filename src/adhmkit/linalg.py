@@ -354,6 +354,19 @@ def mats_close(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return rel_err(x, y) <= tol.eq_rel_tol
 
 
+def _residual(diff, scale) -> float:
+    """The one residual rule: |diff| (Frobenius, or abs(complex(.)) of a scalar)
+    over scale; 0.0 for an exactly zero diff, else nan unless scale and the
+    quotient are finite and positive (an over- or underflow certifies nothing)."""
+    norm = np.linalg.norm(diff) if np.ndim(diff) else abs(complex(diff))
+    if norm == 0.0 and not np.any(diff):
+        return 0.0
+    if not 0.0 < scale < math.inf:
+        return math.nan
+    r = float(norm / scale)
+    return r if 0.0 < r < math.inf else math.nan
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryForm(_ArrayValue):
     """Homogeneous form sum_p coeffs[p] * nu1^(degree-p) * nu2^p."""
@@ -455,9 +468,12 @@ def binary_form_roots(f: BinaryForm, tol: ToleranceConfig = DEFAULT_TOL):
     # polynomial in y = nu1/nu2, highest power first, with lost roots at [1 : 0];
     # the other end swaps the roles of nu1 and nu2
     flip = abs(coeffs[0]) < abs(coeffs[-1])
-    poly = coeffs[::-1] if flip else coeffs
+    # scaled by a power of two, exactly, so that the largest coefficient lies
+    # in [0.5, 1) and np.roots never divides by a subnormal leading one
+    scale = 2.0 ** -math.frexp(maxabs)[1]
+    poly = (coeffs[::-1] if flip else coeffs) * scale
     k = 0
-    while k < deg and abs(poly[k]) <= tol.rank_rel_tol * maxabs:
+    while k < deg and abs(poly[k]) <= tol.rank_rel_tol * (maxabs * scale):
         k += 1
     points = np.zeros((deg, 2), dtype=np.complex128)
     points[:k, 0] = 1.0

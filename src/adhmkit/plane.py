@@ -69,16 +69,9 @@ def plane_adhm(b1, b2, e) -> PlaneADHM:
     return PlaneADHM(c=b1.shape[0], b1=b1, b2=b2, e=e)
 
 
-def _commutator_rel(b1, b2) -> float:
-    comm = b1 @ b2 - b2 @ b1
-    scale = np.linalg.norm(b1) * np.linalg.norm(b2)
-    if scale == 0.0:
-        return 0.0 if np.linalg.norm(comm) == 0.0 else np.inf
-    return float(np.linalg.norm(comm) / scale)
-
-
 def _commutation_check(d: PlaneADHM, tol: ToleranceConfig) -> Check:
-    return _residual_check("commutation", _commutator_rel(d.b1, d.b2), tol.eq_rel_tol,
+    return _residual_check("commutation", d.b1 @ d.b2 - d.b2 @ d.b1,
+                           np.linalg.norm(d.b1) * np.linalg.norm(d.b2), tol.eq_rel_tol,
                            "[b1, b2] relative to |b1||b2|")
 
 

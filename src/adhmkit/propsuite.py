@@ -27,6 +27,7 @@ from .errors import DomainError
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _residual,
     as_int,
     greedy_match,
     proj_distance,
@@ -369,10 +370,9 @@ def _prop_hirz_commutator(ctx, i, n, c, seed):
     d = ctx.hirz(n, c, seed)
     for m in hirz_mod.chart_set(d, ctx.tol):
         cc = hirz_mod.to_chart(d, m, ctx.tol)
-        comm = np.linalg.norm(cc.B @ cc.E - cc.E @ cc.B)
-        scale = np.linalg.norm(cc.B) * np.linalg.norm(cc.E)
-        if comm > 1e-9 * max(scale, 1e-30):
-            yield f"[B, E] = {comm:.2e} at chart {m} (scale {scale:.2e})", d
+        comm = cc.B @ cc.E - cc.E @ cc.B
+        if not (r := _residual(comm, np.linalg.norm(cc.B) * np.linalg.norm(cc.E))) <= 1e-9:
+            yield f"[B, E] = {r:.2e} relative to |B||E| at chart {m}", d
 
 
 @_property("hirz_reconstruct_p1")
@@ -527,9 +527,8 @@ def _prop_geom_spectrum(ctx, i, n, c, seed):
     p = np.arange(c + 1)
     for pt, _ in geom_mod.base_support(d, ctx.tol).base:
         terms = f * pt.lam1 ** (c - p) * pt.lam2**p
-        off, scale = abs(terms.sum()), np.abs(terms).sum()
-        if off > 1e-8 * scale:
-            yield f"base root misses the pencil determinant by {off:.2e} (scale {scale:.2e})", d
+        if not (off := _residual(terms.sum(), np.abs(terms).sum())) <= 1e-8:
+            yield f"base root misses the pencil determinant by {off:.2e} relative to its terms", d
 
 
 @_property("geom_um_cover")

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import IndeterminateError, InvalidPointError
+from .linalg import _residual
 
 __all__ = ["Check", "ValidationReport", "merge"]
 
@@ -95,11 +96,11 @@ class ValidationReport:
         return out
 
 
-def _residual_check(name: str, residual: float, bound: float, detail: str) -> Check:
-    """Pass iff residual <= bound.  A residual that is not finite (the
-    arithmetic overflowed on finite input) certifies nothing, so its verdict
-    is indeterminate and no residual is reported."""
-    if not math.isfinite(residual):
+def _residual_check(name: str, diff, scale, bound: float, detail: str) -> Check:
+    """Pass iff linalg._residual(diff, scale) <= bound; a nan residual certifies
+    nothing, so its verdict is indeterminate and no residual is reported."""
+    residual = _residual(diff, scale)
+    if math.isnan(residual):
         return Check(name=name, verdict=INDETERMINATE, detail=f"{detail} (residual is not finite)")
     return Check(name=name, verdict=PASS if residual <= bound else FAIL, residual=residual,
                  detail=detail)

@@ -501,6 +501,16 @@ def test_c1_from_ytilde_rejects_nonpositive_n(capsys, tmp_path, n):
     assert code == 2 and payload["error"] == "domain"
 
 
+def test_c1_from_ytilde_overflowing_relation_is_indeterminate(capsys, tmp_path):
+    # y1^2 = 1e400 overflows Python's complex power, which raised OverflowError
+    # ("internal"); the relation cannot be certified either way
+    path = tmp_path / "ytilde_big.json"
+    path.write_text(json.dumps({"kind": "ytilde_point", "y1": [1e200, 0.0], "y2": [1.0, 0.0],
+                                "x1": [1.0, 0.0], "x2": [5.0, 0.0]}))
+    code, payload = run(capsys, "c1-from-ytilde", str(path), "--n", "3")
+    assert code == 2 and payload["error"] == "indeterminate"
+
+
 def test_cli_import_does_not_load_the_property_suite():
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     code = "import adhmkit.cli, sys; sys.exit('adhmkit.propsuite' in sys.modules)"

@@ -196,8 +196,23 @@ def test_underflowing_pencil_determinant_is_indeterminate_in_cli(argv, code, err
     assert json.loads(capsys.readouterr().out).get("error") == error
 
 
-def scaled(d, s):
-    return hirz_adhm(d.n, d.c, d.A1 * s, d.A2 * s, tuple(x * s for x in d.C), d.e)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subnormal_leading_coefficient_is_not_internal(n, tmp_path, capsys):
+    # the largest pencil coefficient is normal (1.5e-307) and the leading one
+    # subnormal (1.3e-309): np.roots divided by it, overflowed, and raised
+    # LinAlgError, which the command printed as "internal"
+    d = scaled_pencil(gen_hirz_valid(GenConfig(seed=0, n=n, c=24)), 2.0**-42)
+    assert validate_p3_direct(d).verdict != "fail"
+    path = tmp_path / "point.json"
+    path.write_text(dumps(d))
+    code = cli.main(["validate", "--p3-method", "direct", str(path)])
+    assert code != 1 and json.loads(capsys.readouterr().out).get("error") != "internal"
+
+
+def scaled(d, s, t=None):
+    """d with A1, A2 scaled by s and every C_q by t (by s when t is None)."""
+    t = s if t is None else t
+    return hirz_adhm(d.n, d.c, d.A1 * s, d.A2 * s, tuple(x * t for x in d.C), d.e)
 
 
 def _overflowing_residual_point():
@@ -230,19 +245,27 @@ def test_cli_keeps_numpy_warnings_off_stderr(point, argv, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
-@pytest.mark.parametrize("kind,n,s", [("plane", 1, 1e100), ("hirz", 1, 1e100), ("hirz", 2, 1e160)])
+@pytest.mark.parametrize("kind,n,s", [
+    ("plane", 1, 1e100), ("hirz", 1, 1e100), ("hirz", 2, 1e160),
+    # the second factor's norm underflows to 0 and the first's overflows, so
+    # the scale was inf * 0 = nan (or the product inf): P1 read that as
+    # residual 0.0, the commutator as 0.0 and then failed co-stability
+    pytest.param("plane", 1, (2.0**520, 2.0**-520), id="plane-1-2^520-2^-520"),
+    pytest.param("hirz", 2, (2.0**600, 2.0**-600), id="hirz-2-2^600-2^-600"),
+])
 def test_overflowing_residual_is_indeterminate(kind, n, s):
     # a valid point scaled up until its residual overflows to inf (or, as
     # inf / inf, to nan) failed the residual's check, and a nan residual
     # made the report's JSON non-compliant
+    s, t = s if isinstance(s, tuple) else (s, s)
     if kind == "plane":
         d = gen_plane_valid(GenConfig(seed=3, n=n, c=3))
         assert validate_plane(d).passed
-        report = validate_plane(plane_adhm(d.b1 * s, d.b2 * s, d.e))
+        report = validate_plane(plane_adhm(d.b1 * s, d.b2 * t, d.e))
     else:
         d = gen_hirz_valid(GenConfig(seed=3, n=n, c=3))
         assert validate_hirz(d).passed
-        report = validate_hirz(scaled(d, s))
+        report = validate_hirz(scaled(d, s, t))
     assert report.indeterminate and all(c.verdict != "fail" for c in report.checks)
     first = report.checks[0]
     assert first.verdict == "indeterminate" and first.residual is None
@@ -251,14 +274,40 @@ def test_overflowing_residual_is_indeterminate(kind, n, s):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: the chart-route shrink loop finds a two-dimensional "
-                          "invariant subspace in ker(e) once A and C are scaled by 2^256")
 def test_hirz_verdict_survives_exact_upscaling():
-    # validate --p3-method direct passes the same scaled point
+    # the chart-route shrink loop found a two-dimensional invariant subspace
+    # in ker(e) once A and C are scaled by 2^256; now |E| at the chart (E =
+    # D A2m, of order 2^512) overflows, so the chart triple's commutation and
+    # with it co-stability are indeterminate (ROADMAP item 5 would certify it)
     d = gen_hirz_valid(GenConfig(seed=0, n=2, c=3))
     assert validate_hirz(d).passed
     assert validate_hirz(scaled(d, 2.0**256)).verdict != "fail"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(4))
+def test_p1_broken_mixed_scale_twin_is_not_passed(seed):
+    # C_2 + x breaks the intertwining relations; with A scaled by 2^600 and C
+    # by 2^-600, |C| underflows to 0 and |A| overflows, and the nan scale
+    # read as residual 0.0 passed the point
+    d = gen_hirz_valid(GenConfig(seed=seed, n=2, c=3))
+    x = np.random.default_rng(seed).normal(size=(3, 3))
+    bad = hirz_adhm(2, 3, d.A1, d.A2, (d.C[0], d.C[1] + x), d.e)
+    assert validate_hirz(bad).verdict == "fail"
+    assert validate_hirz(scaled(bad, 2.0**600, 2.0**-600)).verdict != "pass"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [520, -540])
+@pytest.mark.parametrize("seed", range(3))
+def test_direct_costability_survives_scaled_covector(seed, k):
+    # |e| overflowed to inf, so |e v| <= eq_rel_tol |e| held at every root and
+    # the valid point failed; at 2^-540 |e| underflowed to 0, and every root
+    # passed with residual 0.0 although e v != 0
+    d = gen_hirz_valid(GenConfig(seed=seed, n=2, c=4))
+    report = validate_p3_direct(hirz_adhm(d.n, d.c, d.A1, d.A2, d.C, d.e * 2.0**k))
+    assert report.verdict != "fail"
+    assert all(c.residual != 0.0 for c in report.checks)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

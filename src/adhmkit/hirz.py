@@ -34,7 +34,7 @@ dataclasses.replace or by unpickling starts with an empty memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,12 +203,7 @@ def chart_set(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> tuple:
 def _costability_at(d: HirzADHM, m: int, tol: ToleranceConfig) -> Check:
     """Chart-route co-stability: the plane verdict of the triple (B, E, e) at chart m."""
     t2 = plane_mod.validate_plane(plane_part(to_chart(d, m, tol)), tol).check("costability")
-    return Check(
-        name="costability",
-        verdict=t2.verdict,
-        residual=t2.residual,
-        detail=f"chart {m}: {t2.detail}",
-    )
+    return replace(t2, detail=f"chart {m}: {t2.detail}")
 
 
 def _preconditions(full: ValidationReport) -> ValidationReport:
@@ -240,8 +235,11 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
     """Root-by-root co-stability check, independent of the chart route.
 
     At each root [lam1 : lam2] of det(lam2 A1 + lam1 A2) whose kernel K is
-    spanned by one v, the point fails iff |e v| / ||e|| <= eq_rel_tol; a nan
-    ratio (linalg._residual) or a kernel of other dimension is indeterminate.
+    spanned by one v, the point fails iff |e v| / ||e|| <= eq_rel_tol.  The
+    ratio does not depend on the scale of e, so it is taken on e scaled exactly
+    by a power of two to a largest part in [1/2, 1), where ||e|| cannot over-
+    or underflow; a nan ratio (linalg._residual) or a kernel of other
+    dimension is indeterminate.
     The P1 and chart-set guard reads validate_hirz's memoized report; the
     verdict reads only A1, A2 and e, never the chart-route check.
 
@@ -257,7 +255,9 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
 
     roots = binary_form_roots(_regular_pencil_form(d), tol)  # det(lam1 A2 + lam2 A1)
     checks = []
-    norm_e = float(np.linalg.norm(d.e))
+    parts = d.e.view(float)
+    e = np.ldexp(parts, -math.frexp(float(np.abs(parts).max()))[1]).view(complex)
+    norm_e = float(np.linalg.norm(e))
     op_scale = _operator_scale(d.A1, d.A2)
     for idx, (pt, mult) in enumerate(roots):
         kern = kernel_basis(pt.lam2 * d.A1 + pt.lam1 * d.A2, tol, scale=op_scale)
@@ -265,7 +265,7 @@ def validate_p3_direct(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> Valid
         if kern.shape[1] != 1:
             verdict, ratio = INDETERMINATE, None
             detail = f"kernel dimension {kern.shape[1]} at {where}; use chart method"
-        elif math.isnan(ratio := _residual(d.e @ kern[:, 0], norm_e)):
+        elif math.isnan(ratio := _residual(e @ kern[:, 0], norm_e)):
             verdict, ratio, detail = INDETERMINATE, None, f"|e v| / |e| is not finite at {where}"
         else:
             verdict = FAIL if ratio <= tol.eq_rel_tol else PASS

@@ -128,16 +128,9 @@ class _Ctx:
     def cases(self, name, min_n=1):
         """Deterministic stream of (index, n, c, seed) covering the grid."""
         base = zlib.crc32(name.encode()) & 0xFFFF
-        ns = [n for n in range(min_n, self.max_n + 1)]
-        cs = [c for c in range(1, self.max_c + 1)]
-        if not ns or not cs or self.samples < 1:
-            return []
-        grid = [(n, c) for n in ns for c in cs]
-        out = []
-        for i in range(self.samples):
-            n, c = grid[i % len(grid)]
-            out.append((i, n, c, self.seed * 1_000_003 + base * 8191 + i))
-        return out
+        grid = [(n, c) for n in range(min_n, self.max_n + 1) for c in range(1, self.max_c + 1)]
+        return [(i, *grid[i % len(grid)], self.seed * 1_000_003 + base * 8191 + i)
+                for i in range(self.samples if grid else 0)]
 
     def hirz(self, n, c, seed):
         return gen_hirz_valid(GenConfig(seed=seed, n=n, c=c))

@@ -109,8 +109,5 @@ def _residual_check(name: str, diff, scale, bound: float, detail: str) -> Check:
 def merge(*reports: ValidationReport) -> ValidationReport:
     """Concatenate several reports; the chart set of the last one wins."""
     checks = tuple(c for r in reports for c in r.checks)
-    chart_set = None
-    for r in reports:
-        if r.chart_set is not None:
-            chart_set = r.chart_set
+    chart_set = next((r.chart_set for r in reversed(reports) if r.chart_set is not None), None)
     return ValidationReport(checks=checks, chart_set=chart_set)

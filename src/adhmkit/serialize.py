@@ -12,12 +12,13 @@ of the declared shape holding finite ``int``/``float`` pairs.  Anything that
 pass declines goes to the per-scalar walk, which is the sole judge of what is
 valid: it either builds the same array or raises the ParseError with its path.
 
-``dumps`` writes exactly the text of the stdlib's encoder with ``indent=2``
-and ``allow_nan=False``, errors included, through an emitter of its own.  A
-regular nested block of plain floats is rendered in one pass: one finiteness
-check, one ``float.__repr__`` map, and one fill of a template whose brackets
-and separators are built level by level.  Everything else is walked item by
-item the way the stdlib's indent encoder walks it.
+``dumps`` writes the text of ``json.dumps(data, indent=2, allow_nan=False)``.
+What the library writes (str, None, bool, int and finite float scalars in
+lists, tuples and str-keyed dicts) is rendered here: a regular nested block of
+plain floats in one pass, one ``float.__repr__`` map and one fill of a template
+whose brackets and separators are built level by level; everything else item
+by item.  Any other input, or one nested too deep for this emitter's
+recursion, goes to ``json.dumps`` itself, errors included.
 """
 
 from __future__ import annotations
@@ -180,30 +181,10 @@ def decode(data, path="$"):
 
 
 _INDENT = "  "
-_NONFINITE = "Out of range float values are not JSON compliant: "
 
 
-def _float_text(x) -> str:
-    if not math.isfinite(x):
-        raise ValueError(_NONFINITE + repr(x))
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """A dict key converted to a string the way the stdlib does before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+class _Unusual(Exception):
+    """Input outside what the library writes, left to json.dumps."""
 
 
 def _block_seps(shape, level) -> list:
@@ -221,14 +202,6 @@ def _block_seps(shape, level) -> list:
             + [last + "\n" + _INDENT * level + "]"])
 
 
-def _block_text(shape, items, level) -> str:
-    """Text of a float block: one finiteness check, one repr map, one fill."""
-    finite = np.isfinite(np.array(items))
-    if not finite.all():
-        raise ValueError(_NONFINITE + repr(items[int(np.argmin(finite))]))
-    return "%s".join(_block_seps(shape, level)) % tuple(map(float.__repr__, items))
-
-
 def _join(open_, parts, close, level) -> str:
     if not parts:
         return open_ + close
@@ -237,7 +210,8 @@ def _join(open_, parts, close, level) -> str:
 
 
 def _emit(o, level) -> str:
-    """JSON text of ``o`` whose first character sits on a line of indent ``level``."""
+    """JSON text of ``o`` whose first character sits on a line of indent ``level``,
+    or _Unusual on input the library does not write (see the module docstring)."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -248,30 +222,28 @@ def _emit(o, level) -> str:
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
+    if isinstance(o, float) and math.isfinite(o):
+        return float.__repr__(o)
     if isinstance(o, (list, tuple)):
         block = _regular(o)
-        if block is not None and block[2] == {float}:
-            return _block_text(block[0], block[1], level)
+        if block is not None and block[2] == {float} and np.isfinite(block[1]).all():
+            return "%s".join(_block_seps(block[0], level)) % tuple(map(float.__repr__, block[1]))
         return _join("[", [_emit(v, level + 1) for v in o], "]", level)
-    if isinstance(o, dict):
-        parts = [encode_basestring_ascii(_key_text(k)) + ": " + _emit(v, level + 1)
-                 for k, v in o.items()]
+    if isinstance(o, dict) and all(isinstance(k, str) for k in o):
+        parts = [encode_basestring_ascii(k) + ": " + _emit(v, level + 1) for k, v in o.items()]
         return _join("{", parts, "}", level)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    raise _Unusual
 
 
 def dumps(data) -> str:
-    """JSON text for a library object (or an already-encoded dict).
-
-    The text is what the stdlib's encoder writes with ``indent=2`` and
-    ``allow_nan=False``: ValueError on NaN or infinity, TypeError on an
-    unsupported object.
-    """
+    """JSON text for a library object (or an already-encoded dict or list):
+    ``json.dumps(data, indent=2, allow_nan=False)``, via _emit where it can."""
     if not isinstance(data, (dict, list)):
         data = encode(data)
-    return _emit(data, 0)
+    try:
+        return _emit(data, 0)
+    except (_Unusual, RecursionError):  # RecursionError: circular, or nested too deep
+        return json.dumps(data, indent=2, allow_nan=False)
 
 
 def loads(text: str, path="$"):

@@ -298,16 +298,22 @@ def test_p1_broken_mixed_scale_twin_is_not_passed(seed):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("k", [520, -540])
+@pytest.mark.parametrize("k", [520, -540, 1000, -1000])
 @pytest.mark.parametrize("seed", range(3))
 def test_direct_costability_survives_scaled_covector(seed, k):
     # |e| overflowed to inf, so |e v| <= eq_rel_tol |e| held at every root and
     # the valid point failed; at 2^-540 |e| underflowed to 0, and every root
-    # passed with residual 0.0 although e v != 0
+    # passed with residual 0.0 although e v != 0.  Then both were
+    # indeterminate, although |e v| / |e| does not depend on the scale of e:
+    # the valid point passes and its broken twin (e projected off an
+    # eigenvector of B) fails
     d = gen_hirz_valid(GenConfig(seed=seed, n=2, c=4))
+    v = np.linalg.eig(to_chart(d, chart_set(d)[0]).B)[1][:, 0]
+    twin = d.e - (d.e @ v) * v.conj() / np.vdot(v, v)
     report = validate_p3_direct(hirz_adhm(d.n, d.c, d.A1, d.A2, d.C, d.e * 2.0**k))
-    assert report.verdict != "fail"
+    assert report.verdict == "pass"
     assert all(c.residual != 0.0 for c in report.checks)
+    assert validate_p3_direct(hirz_adhm(d.n, d.c, d.A1, d.A2, d.C, twin * 2.0**k)).verdict == "fail"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -450,8 +450,9 @@ def test_dumps_errors_match_the_stdlib(items, keyed):
         assert _text_or_error(dumps, data) == _oracle(data)
 
 
-def test_dumps_pipeline_payload_matches_the_stdlib():
-    # the shape of one decision-pipeline answer: report, support, canonical point
+def _pipeline_payload():
+    """An (8, 32) point and the shape of its decision-pipeline answer:
+    report, support, canonical point."""
     d = gen_hirz_valid(GenConfig(seed=85, n=8, c=32))
     report = validate_hirz(d)
     sup = chart_support(d, report.chart_set[0])
@@ -466,5 +467,40 @@ def test_dumps_pipeline_payload_matches_the_stdlib():
     except ADHMKitError as exc:
         out["canonical"] = {"error": type(exc).__name__, "detail": str(exc)}
     assert report.passed
+    return d, out
+
+
+def test_dumps_pipeline_payload_matches_the_stdlib():
+    d, out = _pipeline_payload()
     assert dumps(out) == json.dumps(out, indent=2, allow_nan=False)
     assert dumps(d) == json.dumps(encode(d), indent=2, allow_nan=False)
+
+
+def test_dumps_asks_the_stdlib_only_for_unusual_input(monkeypatch):
+    # what the library writes is rendered without json.dumps; a non-str key,
+    # a NaN or a circular list is handed to it once, for the stdlib's own
+    # text or error
+    d, out = _pipeline_payload()
+    usual = [d, to_chart(d, chart_set(d)[0]), gen_plane_valid(GenConfig(seed=88, c=3)),
+             validate_hirz(d).to_json(), out]
+    want = [json.dumps(x if isinstance(x, dict) else encode(x), indent=2, allow_nan=False)
+            for x in usual]
+    loop = [1.0]
+    loop.append(loop)
+    unusual = [{1: "a", "b": [2.0]}, [1.0, [0.5, float("nan")]], loop]
+    want_unusual = [_oracle(x) for x in unusual]
+    stdlib, calls = json.dumps, []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return stdlib(*args, **kwargs)
+
+    monkeypatch.setattr(serialize.json, "dumps", refuse)
+    assert [dumps(x) for x in usual] == want
+    monkeypatch.setattr(serialize.json, "dumps", count)
+    for x, w in zip(unusual, want_unusual):
+        calls.clear()
+        assert _text_or_error(dumps, x) == w and len(calls) == 1

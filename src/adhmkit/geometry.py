@@ -10,6 +10,7 @@ written as pairs (y1, y2), (u1, u2) with u1 y1^n = u2 y2^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,15 +79,33 @@ class YTildePoint:
     x2: complex
 
 
+def _split(z):
+    """z = m * 2**e exactly, with m's largest part in [0.5, 1) (m = 0, e = 0 for z = 0)."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+
+
 def _c1_point(who, n, y1, y2, a1, a2, k, relation):
-    """Checks shared by the c = 1 models: n in 1..64, (y1, y2) != 0, a1 y1^k = a2 y2^k."""
+    """Checks shared by the c = 1 models: n in 1..64, (y1, y2) != 0, a1 y1^k = a2 y2^k.
+
+    Each side a y^k is formed as (m_a m_y^k) 2^(e_a + k e_y) from the exact
+    splits of a and y, and both sides are scaled by the power of two of the
+    larger nonzero one, so neither over- nor underflows on finite input: a
+    violated relation is invalid at every scale of a and y.
+    """
     as_int(n, who, "n", 1, _MAX_TWIST)
     if y1 == 0 and y2 == 0:
         raise InvalidPointError(f"{who}: (y1, y2) must not both vanish")
     try:
-        lhs, rhs = a1 * y1**k, a2 * y2**k
-        err = _residual(lhs - rhs, max(abs(lhs), abs(rhs), 1e-30))
-    except OverflowError:  # complex ** raises where complex * gives inf
+        sides = []
+        for a, y in ((a1, y1), (a2, y2)):
+            (ma, ea), (my, ey) = _split(a), _split(y)
+            sides.append((ma * my**k, ea + k * ey))
+        top = max([e for m, e in sides if m] or [0])
+        lhs, rhs = (complex(math.ldexp(m.real, e - top), math.ldexp(m.imag, e - top))
+                    for m, e in sides)
+        err = _residual(lhs - rhs, max(abs(lhs), abs(rhs)))
+    except OverflowError:  # complex ** raises on an infinite part
         err = np.nan
     if np.isnan(err):
         raise IndeterminateError(f"{who}: cannot certify relation {relation}")

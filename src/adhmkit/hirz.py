@@ -173,8 +173,9 @@ def validate_p2(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
     invertible.  The c+1 chart frames A2m are built as one (c+1, c, c) stack
     and judged by one stacked determinant and one stacked singular-value
     call: chart m is available when linalg._rank_cut counts it rank c.  An
-    empty chart set with nonzero matrices is reported indeterminate because
-    the determinants sit below the noise floor without being certainly zero.
+    empty chart set fails only when every frame has an exact zero pivot
+    (slogdet's sign 0); otherwise the determinants sit below the noise floor,
+    or underflow to 0.0, without being certainly zero, and it is indeterminate.
     """
     aps = [angle_pair(d.c, m) for m in range(d.c + 1)]
     sin = np.array([ap.sin_val for ap in aps])[:, None, None]
@@ -186,7 +187,7 @@ def validate_p2(d: HirzADHM, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationRe
     detail = "chart determinants: " + ", ".join(f"{z:.3e}" for z in dets)
     if charts:
         verdict = PASS
-    elif all(z == 0.0 for z in dets):
+    elif not np.linalg.slogdet(frames)[0].any():
         # a degree-c form vanishing exactly at c+1 distinct angles is zero
         verdict = FAIL
     else:

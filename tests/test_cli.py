@@ -2,8 +2,6 @@ import io
 import json
 import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,9 +15,13 @@ from adhmkit.serialize import dumps, load_path, loads
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def run(capsys, *argv):
+def run(capsys, *argv, real=None):
+    """cli.main(argv) in-process: (exit code, parsed stdout).  Given the real
+    command (the adhmkit fixture), it must exit and print the same, stderr empty."""
     code = cli.main(list(argv))
     out = capsys.readouterr().out
+    if real is not None:
+        assert real(*argv) == (code, out, ""), argv
     payload = json.loads(out) if out.strip() else None
     return code, payload
 
@@ -39,16 +41,16 @@ def test_validate_golden_verdicts(capsys):
         assert payload["passed"] is False
 
 
-def test_validate_malformed_inputs(capsys):
+def test_validate_malformed_inputs(capsys, adhmkit):
     for name in ("malformed_not_json.json", "malformed_kind.json",
                  "malformed_badnum.json", "malformed_c_mismatch.json"):
-        code, payload = run(capsys, "validate", g(name))
+        code, payload = run(capsys, "validate", g(name), real=adhmkit)
         assert code == 2, name
         assert payload["error"] == "parse"
         assert payload["path"]
 
 
-def test_validate_size_and_nesting_errors(capsys, tmp_path):
+def test_validate_size_and_nesting_errors(capsys, tmp_path, adhmkit):
     data = json.loads(pathlib.Path(g("hirz_valid_n2c2.json")).read_text())
     cases = {"n0.json": (json.dumps(dict(data, n=0)), "/n", "n must be >= 1"),
              "c0.json": (json.dumps(dict(data, c=0)), "/c", "c must be >= 1"),
@@ -56,26 +58,31 @@ def test_validate_size_and_nesting_errors(capsys, tmp_path):
     for name, (text, suffix, detail) in cases.items():
         path = tmp_path / name
         path.write_text(text)
-        code, payload = run(capsys, "validate", str(path))
+        # deep nesting printed "internal" in the real command, whose recursion
+        # headroom differs from this interpreter's
+        code, payload = run(capsys, "validate", str(path), real=adhmkit)
         assert code == 2 and payload["error"] == "parse", name
         assert payload["path"] == str(path) + suffix and payload["detail"].startswith(detail)
 
 
 def test_validate_indeterminate_pencil(capsys, tmp_path):
-    a1 = np.diag([1.0 + 0j, 1e-20])
-    d = hirz_adhm(1, 2, a1, 2.0 * a1, (np.eye(2, dtype=complex),),
-                  np.ones(2, dtype=complex))
-    path = tmp_path / "tiny.json"
-    path.write_text(dumps(d))
-    code, payload = run(capsys, "validate", str(path))
-    assert code == 2
-    assert payload["passed"] is False
-    # its chart set is empty but its pencil is not certainly degenerate, so
-    # the commands that need a valid point refuse it as uncertified
-    for command in ("support", "support --m 0", "canonical", "hilbert-chow"):
-        name, *opts = command.split()
-        code, payload = run(capsys, name, str(path), *opts)
-        assert code == 2 and payload["error"] == "indeterminate", (command, payload)
+    # scaled by 2^-600 every chart determinant underflows to 0.0, which P2
+    # read as a certainly zero form (exit 1)
+    for s in (1.0, 2.0**-600):
+        a1 = np.diag([1.0 + 0j, 1e-20]) * s
+        d = hirz_adhm(1, 2, a1, 2.0 * a1, (np.eye(2, dtype=complex),),
+                      np.ones(2, dtype=complex))
+        path = tmp_path / "tiny.json"
+        path.write_text(dumps(d))
+        code, payload = run(capsys, "validate", str(path))
+        assert code == 2 and payload["indeterminate"] is True, s
+        assert payload["passed"] is False
+        # its chart set is empty but its pencil is not certainly degenerate, so
+        # the commands that need a valid point refuse it as uncertified
+        for command in ("support", "support --m 0", "canonical", "hilbert-chow"):
+            name, *opts = command.split()
+            code, payload = run(capsys, name, str(path), *opts)
+            assert code == 2 and payload["error"] == "indeterminate", (s, command, payload)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
@@ -99,11 +106,12 @@ def _failing_conditions(payload):
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("hirz_*.json")))
-def test_validate_p3_method_both(capsys, name):
-    # every co-stability route gives the same exit code and the same failing conditions
+def test_validate_p3_method_both(capsys, adhmkit, name):
+    # every co-stability route gives the same exit code and the same failing
+    # conditions, in-process and in the real command
     outcomes = {}
     for method in ("chart", "direct", "both"):
-        code, payload = run(capsys, "validate", g(name), "--p3-method", method)
+        code, payload = run(capsys, "validate", g(name), "--p3-method", method, real=adhmkit)
         assert "error" not in payload, payload
         outcomes[method] = code, _failing_conditions(payload)
     assert outcomes["direct"] == outcomes["both"] == outcomes["chart"], outcomes
@@ -138,19 +146,17 @@ def test_failing_report_is_not_indeterminate(capsys, cmd, name):
 
 
 @pytest.mark.parametrize("name,want", [("hirz_valid_n2c2.json", 0), ("hirz_bad_p1.json", 1)])
-def test_closed_stdout_keeps_the_exit_code(name, want):
+def test_closed_stdout_keeps_the_exit_code(adhmkit, name, want):
     # `adhmkit validate p.json | head -1`: printing into the closed pipe
     # raised, the error handler printed into it again, and the process
     # exited 1 with a BrokenPipeError traceback
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.Popen([sys.executable, "-m", "adhmkit.cli", "validate", g(name)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=dict(os.environ, PYTHONPATH=src))
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == want
-    assert err == b""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err = adhmkit("validate", g(name), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (want, "")
 
 
 def test_chart_set(capsys):
@@ -305,12 +311,18 @@ def test_c1_pipeline(capsys, tmp_path):
     assert abs(u2 - y.x2 * y.y1) < 1e-12
 
 
-def test_property_run_small(capsys):
+def test_property_run_small(capsys, adhmkit):
     code, payload = run(capsys, "property-run", "--samples", "2",
                         "--max-n", "2", "--max-c", "2", "--filter", "sigma")
     assert code == 0
     assert payload["passed"] is True
     assert all(p["cases"] > 0 for p in payload["properties"])
+    # and the real command at the grid the README advertises
+    code, out, err = adhmkit("property-run", "--seed", "2026", "--max-n", "3", "--max-c", "6",
+                             "--samples", "100")
+    payload = json.loads(out)
+    assert (code, payload["passed"], err) == (0, True, "")
+    assert all(p["cases"] == 100 for p in payload["properties"])
 
 
 def test_property_run_vacuous_warns(capsys):
@@ -320,9 +332,9 @@ def test_property_run_vacuous_warns(capsys):
     assert all(p["cases"] == 0 for p in payload["properties"])
 
 
-def test_property_run_negative_seed_is_domain_error(capsys):
+def test_property_run_negative_seed_is_domain_error(capsys, adhmkit):
     # run_suite passed the seed on to numpy, whose ValueError printed "internal"
-    code, payload = run(capsys, "property-run", "--seed", "-5", "--samples", "0")
+    code, payload = run(capsys, "property-run", "--seed", "-5", real=adhmkit)
     assert code == 2 and payload["error"] == "domain"
     assert payload["detail"] == "run_suite: seed must be an integer >= 0, got -5"
 
@@ -501,19 +513,23 @@ def test_c1_from_ytilde_rejects_nonpositive_n(capsys, tmp_path, n):
     assert code == 2 and payload["error"] == "domain"
 
 
-def test_c1_from_ytilde_overflowing_relation_is_indeterminate(capsys, tmp_path):
-    # y1^2 = 1e400 overflows Python's complex power, which raised OverflowError
-    # ("internal"); the relation cannot be certified either way
-    path = tmp_path / "ytilde_big.json"
-    path.write_text(json.dumps({"kind": "ytilde_point", "y1": [1e200, 0.0], "y2": [1.0, 0.0],
-                                "x1": [1.0, 0.0], "x2": [5.0, 0.0]}))
-    code, payload = run(capsys, "c1-from-ytilde", str(path), "--n", "3")
-    assert code == 2 and payload["error"] == "indeterminate"
+@pytest.mark.parametrize("y1,y2,x2", [(1e200, 1.0, 5.0), (2.0**-100, 2.0**-100, 2.0),
+                                      (2.0**-700, 2.0**-700, 2.0)],
+                         ids=["1e200", "2^-100", "2^-700"])
+def test_c1_from_ytilde_violated_relation_is_invalid_at_any_scale(capsys, tmp_path, adhmkit,
+                                                                  y1, y2, x2):
+    # x1 y1^2 = x2 y2^2 is off by a factor 1e400 or 2.  y1^2 = 1e400 overflowed
+    # Python's complex power ("internal"), then read as indeterminate; below
+    # a scale floor of 1e-30 the relation passed and the point was lifted.
+    # Each side is now split exactly into a mantissa and a power of two
+    path = tmp_path / "ytilde.json"
+    path.write_text(json.dumps({"kind": "ytilde_point", "y1": [y1, 0.0], "y2": [y2, 0.0],
+                                "x1": [1.0, 0.0], "x2": [x2, 0.0]}))
+    code, payload = run(capsys, "c1-from-ytilde", str(path), "--n", "3", real=adhmkit)
+    assert code == 2 and payload["error"] == "invalid_point"
+    assert payload["detail"].startswith("ytilde_point: relation x1 y1^2 = x2 y2^2 violated")
 
 
-def test_cli_import_does_not_load_the_property_suite():
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+def test_cli_import_does_not_load_the_property_suite(python):
     code = "import adhmkit.cli, sys; sys.exit('adhmkit.propsuite' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          timeout=120)
-    assert proc.returncode == 0
+    assert python("-c", code)[0] == 0

@@ -265,14 +265,30 @@ def test_um_membership_rejects_bad_input():
 
 
 def test_point_factories_check_relations():
-    tot_point(1, 2, 4, 1, 2)  # 4 * 1 = 1 * 4
-    with pytest.raises(InvalidPointError):
-        tot_point(1, 2, 4, 2, 2)
+    # both relations are homogeneous in y, so the verdict holds at every scale
+    # of y: a 1e-30 floor on the scale passed tot_point(1e-10, 1e-10, 1, 2, 5),
+    # and y^2 overflowed at 1e200
+    for s in (1.0, 1e-10, 1e-30, 1e-200, 2.0**-1074, 1e200):
+        tot_point(s, 2 * s, 4, 1, 2)  # 4 * 1 = 1 * 4
+        with pytest.raises(InvalidPointError, match="relative error"):
+            tot_point(s, 2 * s, 4, 2, 2)
+        with pytest.raises(InvalidPointError, match="relative error 5.000e-01"):
+            tot_point(s, s, 1, 2, 5)
+        ytilde_point(s, 2 * s, 2, 1, 2)  # 2 * 1 = 1 * 2
+        with pytest.raises(InvalidPointError, match="relative error"):
+            ytilde_point(s, 2 * s, 2, 3, 2)
+    # both sides are split exactly into mantissa and power of two, so products
+    # that would leave the normal range keep every bit: y balanced alone left
+    # 1e-300 * 2^-64 subnormal, where a 1e-6 violation rounded away
+    with pytest.raises(InvalidPointError, match="relative error 1.000e-06"):
+        tot_point(2**15, 2**15, 1e-300, 1.000001e-300, 64)
+    with pytest.raises(InvalidPointError, match="relative error 1.000e\\+00"):
+        tot_point(1, 1e-300, 0, 1, 2)  # 0 = 1e-600 underflowed to 0 = 0
+    tot_point(2.0**-16, 2.0**16, 2.0**1000, 2.0**-1048, 64)  # 2^-24 = 2^-24
+    z = 1.5e308 + 1.5e308j  # |z| overflows although both parts are finite
+    ytilde_point(1, 1, z, z, 1)
     with pytest.raises(InvalidPointError):
         tot_point(0, 0, 1, 1, 2)
-    ytilde_point(1, 2, 2, 1, 2)  # 2 * 1 = 1 * 2
-    with pytest.raises(InvalidPointError):
-        ytilde_point(1, 2, 2, 3, 2)
     with pytest.raises(InvalidPointError):
         ytilde_point(0, 0, 1, 1, 2)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import math
 import pickle
 import re
@@ -296,10 +297,20 @@ def test_syst_rank_frozen_and_grid():
         syst_rank(np.eye(2), np.eye(2), 1)
 
 
-def test_syst_rank_at_largest_supported_size(monkeypatch):
-    # the full system would be 7168 x 8192; its rank is read off one SVD of
-    # its 224 x 256 Kronecker factor M_A
+def largest_point(tmp_path):
+    """The (n, c) = (8, 32) point of the rank probes, and a file holding it."""
     d = gen_hirz_valid(GenConfig(seed=1, n=8, c=32))
+    path = tmp_path / "n8c32.json"
+    path.write_text(serialize.dumps(d))
+    return d, str(path)
+
+
+def test_syst_rank_at_largest_supported_size(monkeypatch, tmp_path, adhmkit):
+    # the full system would be 7168 x 8192 (0.94 GB); its rank is read off one
+    # SVD of its 224 x 256 Kronecker factor M_A, in-process and in the real command
+    d, path = largest_point(tmp_path)
+    code, out, _ = adhmkit("syst-rank", path)
+    assert (code, json.loads(out)["rank"]) == (0, 7168)
     shapes = []
     real = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: shapes.append(a.shape) or real(a, *r, **k))
@@ -432,9 +443,12 @@ def test_jacobian_nullity_matches_basis_loop():
         assert jacobian_nullity(d) == _loop_nullity(d) == 2 * c * c + 2 * c
 
 
-def test_jacobian_nullity_at_largest_supported_size():
-    d = gen_hirz_valid(GenConfig(seed=1, n=8, c=32))
+def test_jacobian_nullity_at_largest_supported_size(tmp_path, adhmkit):
+    # jacobian_nullity works in one chart, so it answers here, in the real command too
+    d, path = largest_point(tmp_path)
     assert jacobian_nullity(d) == 2 * 32 * 32 + 2 * 32
+    code, out, _ = adhmkit("jacobian-dim", path)
+    assert (code, json.loads(out)["nullity"]) == (0, 2112)
 
 
 def test_jacobian_orbit_dimension_quotient():

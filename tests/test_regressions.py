@@ -87,6 +87,13 @@ def test_broken_costability_rejected(seed, n, c):
     assert not validate_hirz(bad).passed
 
 
+def saved(tmp_path, d):
+    """The path of a file holding d, for the commands."""
+    path = tmp_path / "point.json"
+    path.write_text(dumps(d))
+    return str(path)
+
+
 def broken_twin(d):
     """d with e projected off the first eigenvector of B at its first chart."""
     v = np.linalg.eig(to_chart(d, chart_set(d)[0]).B)[1][:, 0]
@@ -96,13 +103,15 @@ def broken_twin(d):
 
 @pytest.mark.parametrize("n,seed", [(1, 4), (2, 4), (3, 4), (5, 0), (5, 1), (5, 4),
                                     (8, 0), (8, 1), (8, 4)])
-def test_direct_costability_rejects_broken_twin_at_c32(n, seed):
+def test_direct_costability_rejects_broken_twin_at_c32(n, seed, tmp_path, adhmkit):
     # the direct test also checked that the kernel vector is a joint
     # eigenvector with weights lam1^n a = (-1)^n lam2^n b; P1 implies both,
     # and the weight test, raising a drifting root to the n-th power, called
     # these twins stable
     bad = broken_twin(gen_hirz_valid(GenConfig(seed=seed, n=n, c=32)))
     assert validate_p3_direct(bad).check("costability_direct").verdict == "fail"
+    if n == 8 and seed < 2:  # the real command on the largest supported size
+        assert adhmkit("validate", "--p3-method", "direct", saved(tmp_path, bad))[0] == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -141,12 +150,13 @@ def test_overflowing_pencil_determinant_is_indeterminate():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [["validate", "--p3-method", "direct"],
                                   ["validate", "--p3-method", "both"], ["hilbert-chow"]])
-def test_overflowing_pencil_determinant_is_indeterminate_in_cli(argv, tmp_path, capsys):
-    path = tmp_path / "point.json"
-    path.write_text(dumps(overflowing_pencil_point()))
-    assert cli.main([*argv, str(path)]) == 2
-    out = json.loads(capsys.readouterr().out)
-    assert out["error"] == "indeterminate" and out["detail"].startswith("pencil_form: ")
+def test_overflowing_pencil_determinant_is_indeterminate_in_cli(argv, tmp_path, capsys, adhmkit):
+    argv = [*argv, saved(tmp_path, overflowing_pencil_point())]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["error"] == "indeterminate" and payload["detail"].startswith("pencil_form: ")
+    assert adhmkit(*argv) == (2, out, "")
 
 
 def scaled_pencil(d, s):
@@ -189,24 +199,27 @@ def test_underflowing_pencil_determinant_is_indeterminate(seed, n, c, k):
     (["hilbert-chow"], 2, "indeterminate"),
 ])
 def test_underflowing_pencil_determinant_is_indeterminate_in_cli(argv, code, error, point,
-                                                                 tmp_path, capsys):
-    path = tmp_path / "point.json"
-    path.write_text(dumps(underflowing_pencil_point(*point)))
-    assert cli.main([*argv, str(path)]) == code
-    assert json.loads(capsys.readouterr().out).get("error") == error
+                                                                 tmp_path, capsys, adhmkit):
+    argv = [*argv, saved(tmp_path, underflowing_pencil_point(*point))]
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    assert json.loads(out).get("error") == error
+    if point == UNDERFLOWS[0]:  # the real command on the form that is 0.0 at every sample
+        assert adhmkit(*argv) == (code, out, "")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_subnormal_leading_coefficient_is_not_internal(n, tmp_path, capsys):
+def test_subnormal_leading_coefficient_is_not_internal(n, tmp_path, capsys, adhmkit):
     # the largest pencil coefficient is normal (1.5e-307) and the leading one
     # subnormal (1.3e-309): np.roots divided by it, overflowed, and raised
     # LinAlgError, which the command printed as "internal"
     d = scaled_pencil(gen_hirz_valid(GenConfig(seed=0, n=n, c=24)), 2.0**-42)
     assert validate_p3_direct(d).verdict != "fail"
-    path = tmp_path / "point.json"
-    path.write_text(dumps(d))
-    code = cli.main(["validate", "--p3-method", "direct", str(path)])
-    assert code != 1 and json.loads(capsys.readouterr().out).get("error") != "internal"
+    argv = ["validate", "--p3-method", "direct", saved(tmp_path, d)]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out).get("error") != "internal"
+    assert adhmkit(*argv) == (2, out, "")
 
 
 def scaled(d, s, t=None):
@@ -229,19 +242,20 @@ def _overflowing_residual_point():
     (_overflowing_residual_point, ["support"]),
     (_overflowing_residual_point, ["hilbert-chow"]),
 ], ids=lambda v: getattr(v, "__name__", None) or "-".join(v))
-def test_cli_keeps_numpy_warnings_off_stderr(point, argv, tmp_path, capsys):
+def test_cli_keeps_numpy_warnings_off_stderr(point, argv, tmp_path, capsys, adhmkit):
     # numpy's "overflow encountered in det/dot" and "invalid value encountered
     # in fft" reached stderr, though each such value already is an
     # indeterminate check or error; Python callers still see the warnings
-    path = tmp_path / "point.json"
-    path.write_text(dumps(point()))
+    argv = [*argv, saved(tmp_path, point())]
     with pytest.warns(RuntimeWarning):
         validate_hirz(point())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cli.main([*argv, str(path)])
+        code = cli.main(argv)
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == ""
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert adhmkit(*argv) == (code, out, "")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
@@ -253,24 +267,30 @@ def test_cli_keeps_numpy_warnings_off_stderr(point, argv, tmp_path, capsys):
     pytest.param("plane", 1, (2.0**520, 2.0**-520), id="plane-1-2^520-2^-520"),
     pytest.param("hirz", 2, (2.0**600, 2.0**-600), id="hirz-2-2^600-2^-600"),
 ])
-def test_overflowing_residual_is_indeterminate(kind, n, s):
+def test_overflowing_residual_is_indeterminate(kind, n, s, tmp_path, adhmkit):
     # a valid point scaled up until its residual overflows to inf (or, as
     # inf / inf, to nan) failed the residual's check, and a nan residual
     # made the report's JSON non-compliant
-    s, t = s if isinstance(s, tuple) else (s, s)
+    mixed = isinstance(s, tuple)
+    s, t = s if mixed else (s, s)
     if kind == "plane":
         d = gen_plane_valid(GenConfig(seed=3, n=n, c=3))
         assert validate_plane(d).passed
-        report = validate_plane(plane_adhm(d.b1 * s, d.b2 * t, d.e))
+        point = plane_adhm(d.b1 * s, d.b2 * t, d.e)
+        report = validate_plane(point)
     else:
         d = gen_hirz_valid(GenConfig(seed=3, n=n, c=3))
         assert validate_hirz(d).passed
-        report = validate_hirz(scaled(d, s, t))
+        point = scaled(d, s, t)
+        report = validate_hirz(point)
     assert report.indeterminate and all(c.verdict != "fail" for c in report.checks)
     first = report.checks[0]
     assert first.verdict == "indeterminate" and first.residual is None
     assert "not finite" in first.detail
     json.dumps(report.to_json(), allow_nan=False)
+    if mixed and kind == "plane":  # the valid triple once failed (exit 1) in the real command
+        code, out, _ = adhmkit("validate-plane", saved(tmp_path, point))
+        assert code == 2 and json.loads(out)["indeterminate"] is True
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -286,21 +306,24 @@ def test_hirz_verdict_survives_exact_upscaling():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", range(4))
-def test_p1_broken_mixed_scale_twin_is_not_passed(seed):
+def test_p1_broken_mixed_scale_twin_is_not_passed(seed, tmp_path, adhmkit):
     # C_2 + x breaks the intertwining relations; with A scaled by 2^600 and C
     # by 2^-600, |C| underflows to 0 and |A| overflows, and the nan scale
-    # read as residual 0.0 passed the point
+    # read as residual 0.0 passed the point (exit 0 in the real command)
     d = gen_hirz_valid(GenConfig(seed=seed, n=2, c=3))
     x = np.random.default_rng(seed).normal(size=(3, 3))
     bad = hirz_adhm(2, 3, d.A1, d.A2, (d.C[0], d.C[1] + x), d.e)
     assert validate_hirz(bad).verdict == "fail"
     assert validate_hirz(scaled(bad, 2.0**600, 2.0**-600)).verdict != "pass"
+    if seed == 0:
+        code, out, _ = adhmkit("validate", saved(tmp_path, scaled(bad, 2.0**600, 2.0**-600)))
+        assert code == 2 and json.loads(out)["indeterminate"] is True
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("k", [520, -540, 1000, -1000])
 @pytest.mark.parametrize("seed", range(3))
-def test_direct_costability_survives_scaled_covector(seed, k):
+def test_direct_costability_survives_scaled_covector(seed, k, tmp_path, adhmkit):
     # |e| overflowed to inf, so |e v| <= eq_rel_tol |e| held at every root and
     # the valid point failed; at 2^-540 |e| underflowed to 0, and every root
     # passed with residual 0.0 although e v != 0.  Then both were
@@ -310,10 +333,15 @@ def test_direct_costability_survives_scaled_covector(seed, k):
     d = gen_hirz_valid(GenConfig(seed=seed, n=2, c=4))
     v = np.linalg.eig(to_chart(d, chart_set(d)[0]).B)[1][:, 0]
     twin = d.e - (d.e @ v) * v.conj() / np.vdot(v, v)
-    report = validate_p3_direct(hirz_adhm(d.n, d.c, d.A1, d.A2, d.C, d.e * 2.0**k))
+    point = hirz_adhm(d.n, d.c, d.A1, d.A2, d.C, d.e * 2.0**k)
+    report = validate_p3_direct(point)
     assert report.verdict == "pass"
     assert all(c.residual != 0.0 for c in report.checks)
     assert validate_p3_direct(hirz_adhm(d.n, d.c, d.A1, d.A2, d.C, twin * 2.0**k)).verdict == "fail"
+    if (seed, k) == (0, 520):  # the real command passes the point under every route
+        path = saved(tmp_path, point)
+        for method in ("chart", "direct", "both"):
+            assert adhmkit("validate", "--p3-method", method, path)[0] == 0, method
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
